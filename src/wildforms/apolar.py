@@ -3,18 +3,21 @@
 The degree-k catalecticant of a degree-d form f maps degree-k
 differential operators to their derivatives of degree d-k.  Its rank is
 the k-th value of the Hilbert function of the apolar algebra, and its
-left kernel is the degree-k slice of the annihilator.  All ranks are
-exact; see linalg for the elimination details.
+left kernel is the degree-k slice of the annihilator.  Slices are built
+from the form's terms, never by enumerating the monomial spaces, and
+each is computed once per form: ``catalecticant`` keeps it on the Form
+object, so it lives exactly as long as the form.  All ranks are exact;
+see linalg for the elimination details.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, perm
 
 from . import linalg
-from .poly import DiffOp, Exponent, Form, apply, monomial, monomials
+from .poly import DiffOp, Exponent, Form, monomial, monomials
 
 
 def require_analysis_form(f: object) -> Form:
@@ -28,8 +31,27 @@ def require_analysis_form(f: object) -> Form:
     return f
 
 
+def _divisors(e: Exponent, k: int) -> list[tuple[Exponent, int]]:
+    """Every alpha <= e with |alpha| = k, with prod perm(e_i, alpha_i)."""
+    partial: list[tuple[Exponent, int, int]] = [((), k, 1)]
+    rest = sum(e)
+    for ei in e:
+        rest -= ei
+        partial = [(alpha + (a,), left - a, factor * perm(ei, a))
+                   for alpha, left, factor in partial
+                   for a in range(max(0, left - rest), min(ei, left) + 1)]
+    return [(alpha, factor) for alpha, _, factor in partial]
+
+
 class CatalecticantSlice:
-    """The degree-k differentiation map out of a fixed form."""
+    """The degree-k differentiation map out of a fixed form.
+
+    Built from the terms: c*x^e puts c * prod perm(e_i, alpha_i) at row
+    alpha, column e - alpha, for each alpha <= e of degree k, and
+    distinct terms never share a cell.  Only the nonzero rows are kept,
+    graded-lex descending in ``row_monomials``; ``rows`` index their
+    columns into ``columns``, the nonzero columns, graded-lex descending.
+    """
 
     def __init__(self, form: Form, k: int):
         require_analysis_form(form)
@@ -37,44 +59,67 @@ class CatalecticantSlice:
             raise ValueError(f"slice degree {k} outside 0..{form.degree}")
         self.form = form
         self.k = k
-        self.row_monomials: list[Exponent] = monomials(form.nvars, k)
-        self.col_monomials: list[Exponent] = monomials(form.nvars, form.degree - k)
-        col_index = {e: j for j, e in enumerate(self.col_monomials)}
-        rows: list[dict[int, Fraction]] = []
-        for e in self.row_monomials:
-            image = apply(monomial(form.variables, e), form)
-            if image is None:
-                rows.append({})
-            else:
-                rows.append({col_index[m]: c for m, c in image.terms.items()})
-        self.rows = rows
-        self.rank = linalg.sparse_rank(rows)
+        images: dict[Exponent, dict[Exponent, Fraction]] = {}
+        for e, c in form.terms.items():
+            for alpha, factor in _divisors(e, k):
+                beta = tuple(a - b for a, b in zip(e, alpha))
+                images.setdefault(alpha, {})[beta] = c * factor
+        self.columns: list[Exponent] = sorted(
+            {beta for image in images.values() for beta in image}, reverse=True)
+        col_index = {beta: j for j, beta in enumerate(self.columns)}
+        self.row_monomials: list[Exponent] = sorted(images, reverse=True)
+        self._row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
+        self.rows: list[dict[int, Fraction]] = [
+            {col_index[beta]: c for beta, c in images[alpha].items()}
+            for alpha in self.row_monomials]
+        self.rank = linalg.sparse_rank(self.rows)
 
     @property
     def nrows(self) -> int:
-        return len(self.row_monomials)
+        return comb(self.form.nvars - 1 + self.k, self.k)
 
     @property
     def ncols(self) -> int:
-        return len(self.col_monomials)
+        d = self.form.degree - self.k
+        return comb(self.form.nvars - 1 + d, d)
+
+    def image(self, alpha: Exponent) -> Form | None:
+        """alpha applied to the form, read off row alpha; None when zero."""
+        i = self._row_index.get(alpha)
+        if i is None:
+            return None
+        return Form(self.form.variables, self.form.degree - self.k,
+                    {self.columns[j]: c for j, c in self.rows[i].items()})
 
     @cached_property
     def kernel_basis(self) -> list[DiffOp]:
-        """Degree-k annihilator slice, reduced echelon over the row order."""
-        transpose = [[row.get(j, Fraction(0)) for row in self.rows]
-                     for j in range(self.ncols)]
-        if not transpose:
-            transpose = [[Fraction(0)] * self.nrows]
+        """Degree-k annihilator slice, reduced echelon over the row order.
+
+        Zero rows are kernel elements too, so this is the one place that
+        enumerates every degree-k monomial.
+        """
+        everything = monomials(self.form.nvars, self.k)
+        where = {alpha: i for i, alpha in enumerate(everything)}
+        transpose = [[Fraction(0)] * len(everything) for _ in self.columns]
+        for alpha, row in zip(self.row_monomials, self.rows):
+            for j, c in row.items():
+                transpose[j][where[alpha]] = c
         basis = []
         for vector in linalg.nullspace(transpose):
-            terms = {self.row_monomials[i]: c
-                     for i, c in enumerate(vector) if c != 0}
+            terms = {everything[i]: c for i, c in enumerate(vector) if c != 0}
             basis.append(Form(self.form.variables, self.k, terms))
         return basis
 
 
 def catalecticant(f: Form, k: int) -> CatalecticantSlice:
-    return CatalecticantSlice(f, k)
+    """The degree-k slice of f, built on first use and kept on the form."""
+    require_analysis_form(f)
+    if f._slices is None:
+        f._slices = {}
+    slice_ = f._slices.get(k)
+    if slice_ is None:
+        slice_ = f._slices[k] = CatalecticantSlice(f, k)
+    return slice_
 
 
 class HilbertFunction(tuple):
@@ -146,7 +191,8 @@ class ApolarBasis:
 
     The monomials are the greedy-first independent rows of the
     catalecticant under the graded-lex row order, so the choice is
-    canonical for a fixed form.
+    canonical for a fixed form.  ``row_indices`` point into the slice's
+    stored (nonzero) rows.
     """
 
     def __init__(self, form: Form, k: int, indices: list[int],

@@ -22,7 +22,7 @@ from .families import (build, family_info, gn_quartic_bounds,
 from .hessian import (BudgetExceeded, RankPolicy, generic_rank,
                       hessian_determinant, lefschetz_check,
                       lefschetz_property, mixed_hessian)
-from .poly import Form, LinearForm, parse, render
+from .poly import Form, LinearForm, check_partition, parse, render
 from .powersum import binary_waring_rank
 
 SCHEMA = "wildforms-cli/1"
@@ -122,10 +122,7 @@ def _resolve_input(args) -> tuple[Form, CertificateStrategy]:
         strategy = CertificateStrategy(policy=policy)
     if args.partition:
         x_vars, u_vars = _parse_partition(args.partition)
-        for v in x_vars + u_vars:
-            if v not in f.variables:
-                raise ValueError(f"partition variable {v!r} is not a variable "
-                                 "of the form")
+        check_partition(f.variables, x_vars, u_vars)
         strategy.x_vars = x_vars
         strategy.u_vars = u_vars
     return f, strategy
@@ -225,8 +222,11 @@ def _cmd_lefschetz(args) -> int:
     f, strategy = _resolve_input(args)
     prop = "wlp" if args.wlp else "slp"
     if args.element:
-        coeffs = tuple(Fraction(tok.strip())
-                       for tok in args.element.split(","))
+        try:
+            coeffs = tuple(Fraction(tok.strip())
+                           for tok in args.element.split(","))
+        except ZeroDivisionError:
+            raise ValueError(f"--element {args.element!r} divides by zero") from None
         if len(coeffs) != f.nvars:
             raise ValueError(f"the element needs {f.nvars} coefficients")
         report = lefschetz_check(f, LinearForm(f.variables, coeffs), prop)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, polymat
-from .apolar import apolar_basis, require_analysis_form
+from .apolar import apolar_basis, catalecticant, require_analysis_form
 from .poly import Form, LinearForm, apply, monomial, monomials, multiply
 
 
@@ -108,18 +108,16 @@ class MixedHessian:
 
 
 def mixed_hessian(f: Form, k: int, l: int) -> MixedHessian:
+    """Entry (alpha, beta) is alpha*beta(f), row alpha+beta of slice k+l."""
     require_analysis_form(f)
     if k < 0 or l < 0 or k + l > f.degree:
         raise ValueError(f"need k, l >= 0 with k+l <= {f.degree}, got ({k}, {l})")
     rows = apolar_basis(f, k)
     cols = apolar_basis(f, l)
-    entries: list[list[Form | None]] = []
-    for er in rows.monomials:
-        line = []
-        for ec in cols.monomials:
-            op = monomial(f.variables, tuple(a + b for a, b in zip(er, ec)))
-            line.append(apply(op, f))
-        entries.append(line)
+    images = catalecticant(f, k + l)
+    entries = [[images.image(tuple(a + b for a, b in zip(er, ec)))
+                for ec in cols.monomials]
+               for er in rows.monomials]
     return MixedHessian(f, k, l, rows, cols, entries)
 
 

@@ -200,10 +200,12 @@ def sparse_rank(rows: Sequence[dict[int, Fraction]]) -> int:
         where = {c: j for j, c in enumerate(cols)}
         dense = []
         for i in indices:
-            row = [Fraction(0)] * len(cols)
-            for c, v in rows[i].items():
-                row[where[c]] = v
-            dense.append(_int_row(row))
+            row = rows[i]
+            scale = math.lcm(*(v.denominator for v in row.values()))
+            line = [0] * len(cols)
+            for c, v in row.items():
+                line[where[c]] = v.numerator * (scale // v.denominator)
+            dense.append(line)
         total += _bareiss_forward(dense)
     return total
 

@@ -31,9 +31,13 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 class Form:
-    """A nonzero homogeneous polynomial with exact rational coefficients."""
+    """A nonzero homogeneous polynomial with exact rational coefficients.
 
-    __slots__ = ("variables", "degree", "terms")
+    ``terms`` is never mutated after construction, which is what lets
+    ``apolar.catalecticant`` keep the form's slices in ``_slices``.
+    """
+
+    __slots__ = ("variables", "degree", "terms", "_slices")
 
     def __init__(self, variables: Sequence[str], degree: int,
                  terms: Mapping[Exponent, Scalar]):
@@ -61,6 +65,7 @@ class Form:
         self.variables = names
         self.degree = degree
         self.terms = clean
+        self._slices = None
 
     @property
     def nvars(self) -> int:
@@ -298,12 +303,18 @@ def power(linear: LinearForm, d: int) -> Form:
     return out
 
 
+def check_partition(variables: Sequence[str], x_vars: Sequence[str],
+                    u_vars: Sequence[str]) -> None:
+    """Raise unless the two blocks are disjoint and cover every variable."""
+    names, xs, us = tuple(variables), tuple(x_vars), tuple(u_vars)
+    if sorted(xs + us) != sorted(names) or set(xs) & set(us):
+        raise ValueError(f"{xs} and {us} do not partition {names}")
+
+
 def bigrade(f: Form, x_vars: Sequence[str], u_vars: Sequence[str]) -> tuple[int, int]:
     """The (x-degree, u-degree) bidegree, or a two-term witness error."""
-    xs, us = tuple(x_vars), tuple(u_vars)
-    if sorted(xs + us) != sorted(f.variables) or set(xs) & set(us):
-        raise ValueError(f"{xs} and {us} do not partition {f.variables}")
-    x_idx = [f.variables.index(v) for v in xs]
+    check_partition(f.variables, x_vars, u_vars)
+    x_idx = [f.variables.index(v) for v in x_vars]
     seen: dict[tuple[int, int], Exponent] = {}
     for e in f.terms:
         k = sum(e[i] for i in x_idx)

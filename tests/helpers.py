@@ -12,8 +12,8 @@ import random
 
 import sympy
 
-from wildforms.poly import (Form, LinearForm, form_sum, make_form, monomials,
-                            multiply, parse, power)
+from wildforms.poly import (Form, LinearForm, apply, form_sum, make_form,
+                            monomial, monomials, multiply, parse, power)
 from wildforms.powersum import PowerSumDecomposition
 
 VAR_LETTERS = ("x", "y", "z", "w")
@@ -75,6 +75,24 @@ def random_decomposition(rng: random.Random, nvars: int = 3,
         return PowerSumDecomposition(forms, degree, scalars)
     except ValueError:
         return None
+
+
+def reference_catalecticant(f: Form, k: int):
+    """The degree-k catalecticant by its definition, zero rows included.
+
+    Every degree-k monomial is applied to f; returns the row monomials,
+    the column monomials (both graded-lex descending) and the rows as
+    sparse column-index maps.
+    """
+    row_monos = monomials(f.nvars, k)
+    col_monos = monomials(f.nvars, f.degree - k)
+    where = {e: j for j, e in enumerate(col_monos)}
+    rows = []
+    for e in row_monos:
+        image = apply(monomial(f.variables, e), f)
+        rows.append({} if image is None
+                    else {where[m]: c for m, c in image.terms.items()})
+    return row_monos, col_monos, rows
 
 
 def to_sympy(f: Form):

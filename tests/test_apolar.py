@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +19,12 @@ from wildforms.apolar import (
     is_unimodal,
     maximal_hilbert_through,
 )
+from wildforms import linalg
 from wildforms.families import build
-from wildforms.poly import apply, parse, power, LinearForm
+from wildforms.hessian import mixed_hessian
+from wildforms.poly import Form, LinearForm, apply, monomial, monomials, parse, power
 
-from helpers import oracle_hilbert, random_form
+from helpers import oracle_hilbert, random_form, reference_catalecticant
 
 
 class TestHilbertFrozenValues:
@@ -177,3 +182,99 @@ class TestApolarBasis:
                     rows.append(row)
                 if rows:
                     assert rank(rows) == len(rows)
+
+
+def _random_exponent(rng: random.Random, nvars: int, degree: int) -> tuple:
+    """Stars and bars: nvars - 1 cuts among degree + nvars - 1 places."""
+    cuts = sorted(rng.sample(range(degree + nvars - 1), nvars - 1))
+    ends = [-1] + cuts + [degree + nvars - 1]
+    return tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def _random_coefficient(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+
+def _slice_corpus() -> list[Form]:
+    """Seeded dense and sparse forms in 1-6 variables of degree 1-8,
+    plus named family members."""
+    rng = random.Random(307)
+    forms = []
+    for _ in range(12):
+        nvars, degree = rng.randint(1, 6), rng.randint(1, 8)
+        while math.comb(nvars - 1 + degree, degree) > 84:
+            degree -= 1
+        terms = {e: _random_coefficient(rng)
+                 for e in monomials(nvars, degree) if rng.random() < 0.7}
+        terms = terms or {(degree,) + (0,) * (nvars - 1): 1}
+        forms.append(Form("abcdef"[:nvars], degree, terms))
+    for _ in range(24):
+        nvars, degree = rng.randint(1, 6), rng.randint(1, 8)
+        terms = {_random_exponent(rng, nvars, degree): _random_coefficient(rng)
+                 for _ in range(rng.randint(1, 6))}
+        forms.append(Form("abcdef"[:nvars], degree, terms))
+    for spec in ("ikeda", "perazzo", "exceptional(3, 5)", "monomial-spread(2, 3)"):
+        forms.append(build(spec).form)
+    return forms
+
+
+class TestSliceAgainstDefinition:
+    """Term-driven slices and slice-read Hessians against the definition."""
+
+    def test_corpora(self):
+        for f in _slice_corpus():
+            for k in range(f.degree + 1):
+                self._check_slice(f, k)
+            self._check_hessians(f)
+
+    @staticmethod
+    def _check_slice(f: Form, k: int) -> None:
+        row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
+        s = catalecticant(f, k)
+        assert (s.nrows, s.ncols) == (len(row_monos), len(col_monos))
+        assert s.row_monomials == [e for e, row in zip(row_monos, ref_rows) if row]
+        for e, row in zip(row_monos, ref_rows):
+            image = s.image(e)
+            assert ({} if image is None else image.terms) == \
+                {col_monos[j]: c for j, c in row.items()}
+        transpose = [[row.get(j, Fraction(0)) for row in ref_rows]
+                     for j in range(len(col_monos))]
+        kernel = [Form(f.variables, k, {row_monos[i]: c for i, c in enumerate(v) if c})
+                  for v in linalg.nullspace(transpose)]
+        assert s.rank == len(row_monos) - len(kernel)
+        assert s.kernel_basis == kernel
+        kept = linalg.greedy_independent(ref_rows)
+        assert apolar_basis(f, k).monomials == tuple(row_monos[i] for i in kept)
+
+    @staticmethod
+    def _check_hessians(f: Form) -> None:
+        for k in range(f.degree + 1):
+            for l in range(f.degree + 1 - k):
+                h = mixed_hessian(f, k, l)
+                for a, line in zip(h.row_basis.monomials, h.entries):
+                    for b, entry in zip(h.col_basis.monomials, line):
+                        op = monomial(f.variables, tuple(x + y for x, y in zip(a, b)))
+                        assert entry == apply(op, f)
+
+
+class TestSliceMemo:
+    TEXT = "x^3*y + 2*y^2*z^2 - z^4"
+
+    def test_one_slice_per_form_and_degree(self):
+        f = parse(self.TEXT, "xyz")
+        assert catalecticant(f, 2) is catalecticant(f, 2)
+        assert catalecticant(f, 1) is not catalecticant(f, 2)
+
+    def test_equal_forms_do_not_share(self):
+        f, g = parse(self.TEXT, "xyz"), parse(self.TEXT, "xyz")
+        assert f == g
+        assert catalecticant(f, 2) is not catalecticant(g, 2)
+
+    def test_slice_dies_with_its_form(self):
+        f = parse(self.TEXT, "xyz")
+        ref = weakref.ref(catalecticant(f, 2))
+        gc.collect()
+        assert ref() is not None
+        del f
+        gc.collect()
+        assert ref() is None

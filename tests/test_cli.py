@@ -140,6 +140,13 @@ class TestLefschetz:
         assert payload["report"]["verdict"] == "holds"
         assert payload["report"]["element"] == ["1", "1", "1"]
 
+    def test_element_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "lefschetz", "--family", "perazzo", "--wlp",
+                             "--element", "1/0,1,1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_element_length_checked(self, capsys):
         code, _, err = run(capsys, "lefschetz", "--poly", "x^3 + y^3 + z^3",
                            "--vars", "x,y,z", "--slp", "--element", "1,1")
@@ -247,6 +254,10 @@ class TestBadInput:
         assert run(capsys, *base, "--partition", "X=x,y,z")[0] == 2
         assert run(capsys, *base, "--partition", "X=x,q;U=u,v")[0] == 2
         assert run(capsys, *base, "--partition", "X=;U=u")[0] == 2
+        missing = run(capsys, *base, "--partition", "X=x,y;U=u,v")
+        assert missing[0] == 2 and "do not partition" in missing[2]
+        overlap = run(capsys, *base, "--partition", "X=x,y,z,u;U=u,v")
+        assert overlap[0] == 2 and "do not partition" in overlap[2]
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
