@@ -6,8 +6,9 @@ the k-th value of the Hilbert function of the apolar algebra, and its
 left kernel is the degree-k slice of the annihilator.  Slices are built
 from the form's terms, never by enumerating the monomial spaces, and
 each is computed once per form: ``catalecticant`` keeps it on the Form
-object, so it lives exactly as long as the form.  All ranks are exact;
-see linalg for the elimination details.
+object, so it lives exactly as long as the form.  One exact elimination
+per slice gives both its rank and its greedy-first basis rows, which
+``apolar_basis`` reads off the slice; see linalg for the details.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ class CatalecticantSlice:
     distinct terms never share a cell.  Only the nonzero rows are kept,
     graded-lex descending in ``row_monomials``; ``rows`` index their
     columns into ``columns``, the nonzero columns, graded-lex descending.
+    ``basis_rows`` are the greedy-first independent rows in that order,
+    and the rank is their count.
     """
 
     def __init__(self, form: Form, k: int):
@@ -72,7 +75,8 @@ class CatalecticantSlice:
         self.rows: list[dict[int, Fraction]] = [
             {col_index[beta]: c for beta, c in images[alpha].items()}
             for alpha in self.row_monomials]
-        self.rank = linalg.sparse_rank(self.rows)
+        self.basis_rows = linalg.greedy_independent(self.rows)
+        self.rank = len(self.basis_rows)
 
     @property
     def nrows(self) -> int:
@@ -191,8 +195,9 @@ class ApolarBasis:
 
     The monomials are the greedy-first independent rows of the
     catalecticant under the graded-lex row order, so the choice is
-    canonical for a fixed form.  ``row_indices`` point into the slice's
-    stored (nonzero) rows.
+    canonical for a fixed form; they are read from the slice's
+    ``basis_rows``, found by the same elimination as its rank.
+    ``row_indices`` point into the slice's stored (nonzero) rows.
     """
 
     def __init__(self, form: Form, k: int, indices: list[int],
@@ -212,7 +217,5 @@ class ApolarBasis:
 
 def apolar_basis(f: Form, k: int) -> ApolarBasis:
     slice_ = catalecticant(f, k)
-    kept = linalg.greedy_independent(slice_.rows)
-    if len(kept) != slice_.rank:
-        raise RuntimeError("greedy basis size disagrees with slice rank")
+    kept = slice_.basis_rows
     return ApolarBasis(f, k, kept, [slice_.row_monomials[i] for i in kept])

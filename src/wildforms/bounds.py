@@ -28,7 +28,7 @@ from . import linalg
 from .apolar import (catalecticant, conciseness, hilbert,
                      maximal_hilbert_through, require_analysis_form)
 from .hessian import RankPolicy, generic_rank, hessian_determinant, mixed_hessian
-from .poly import Form, bigrade, form_sum, make_form, monomials, render
+from .poly import Form, bigrade, form_sum, make_form, render
 from .powersum import PowerSumDecomposition, verify_decomposition
 
 SCHEMA = "wild-certificate/1"
@@ -172,19 +172,14 @@ def slice_rank_vanishing(f: Form, x_vars, u_vars) -> dict | None:
         return None
     if k < 1 or k >= e:
         return None
-    x_vars = tuple(x_vars)
-    u_vars = tuple(u_vars)
-    x_index = {v: i for i, v in enumerate(f.variables)}
-    x_pos = [x_index[v] for v in x_vars]
-    u_pos = [x_index[v] for v in u_vars]
-    rows = {m: i for i, m in enumerate(monomials(len(x_vars), k))}
-    cols = {m: j for j, m in enumerate(monomials(len(u_vars), e))}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
+    index = {v: i for i, v in enumerate(f.variables)}
+    x_pos = [index[v] for v in x_vars]
+    u_pos = [index[v] for v in u_vars]
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
     for exponent, c in f.terms.items():
         xm = tuple(exponent[i] for i in x_pos)
-        um = tuple(exponent[i] for i in u_pos)
-        matrix[rows[xm]][cols[um]] = c
-    s = linalg.rank(matrix)
+        rows.setdefault(xm, {})[tuple(exponent[i] for i in u_pos)] = c
+    s = linalg.sparse_rank(list(rows.values()))
     threshold = math.comb(len(u_vars) + k - 1, k)
     if s <= threshold:
         return None

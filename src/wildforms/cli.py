@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from .apolar import catalecticant, conciseness, hilbert
 from .bounds import CertificateStrategy, wild_certificate
-from .families import (build, family_info, gn_quartic_bounds,
-                       power_family_bounds)
+from .families import build, evaluate_formula, family_info
 from .hessian import (BudgetExceeded, RankPolicy, generic_rank,
                       hessian_determinant, lefschetz_check,
                       lefschetz_property, mixed_hessian)
@@ -172,16 +171,18 @@ def _summarize_certificate(cert: dict) -> list[str]:
     return lines
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_certificate(args) -> int:
+    """analyze and bounds: the wild certificate; analyze adds the Hilbert facts."""
     f, strategy = _resolve_input(args)
     started = time.monotonic()
     cert = wild_certificate(f, strategy)
-    payload = {"schema": SCHEMA, "command": "analyze", "certificate": cert}
-    hf_payload, _ = _hilbert_payload(f)
-    payload.update(hf_payload)
+    payload = {"schema": SCHEMA, "command": args.command, "certificate": cert}
     lines = _summarize_certificate(cert)
-    lines.insert(3, f"symmetric: {hf_payload['symmetric']}, "
-                    f"unimodal: {hf_payload['unimodal']}")
+    if args.command == "analyze":
+        hf_payload, _ = _hilbert_payload(f)
+        payload.update(hf_payload)
+        lines.insert(3, f"symmetric: {hf_payload['symmetric']}, "
+                        f"unimodal: {hf_payload['unimodal']}")
     if not args.deterministic:
         payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
         lines.append(f"elapsed: {payload['elapsed_seconds']}s")
@@ -256,25 +257,6 @@ def _cmd_binary_rank(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    f, strategy = _resolve_input(args)
-    started = time.monotonic()
-    cert = wild_certificate(f, strategy)
-    payload = {"schema": SCHEMA, "command": "bounds", "certificate": cert}
-    lines = _summarize_certificate(cert)
-    if not args.deterministic:
-        payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
-        lines.append(f"elapsed: {payload['elapsed_seconds']}s")
-    _emit(args, payload, lines)
-    return 0
-
-
-_FORMULAS = {
-    "power-family-large": (power_family_bounds, (1, 1)),
-    "gn-quartic-formula": (gn_quartic_bounds, (1, 2)),
-}
-
-
 def _cmd_family(args) -> int:
     if args.list_families == bool(args.formula):
         raise ValueError("family needs exactly one of --list or --formula")
@@ -288,18 +270,7 @@ def _cmd_family(args) -> int:
             lines.append(f"{row['name']}: {row['description']} [{arity}]")
         _emit(args, payload, lines)
         return 0
-    spec = args.formula
-    name, _, arg_text = spec.partition("(")
-    name = name.strip()
-    if name not in _FORMULAS:
-        raise ValueError(f"unknown formula {name!r}; known: "
-                         + ", ".join(sorted(_FORMULAS)))
-    func, (lo, hi) = _FORMULAS[name]
-    pieces = arg_text.rstrip(")").strip()
-    values = [int(tok) for tok in pieces.split(",") if tok.strip()]
-    if not lo <= len(values) <= hi:
-        raise ValueError(f"{name} takes between {lo} and {hi} integers")
-    result = func(*values)
+    name, result = evaluate_formula(args.formula)
     payload = {"schema": SCHEMA, "command": "family", "formula": name,
                "bounds": result}
     lines = [f"{key}: {value}" for key, value in result.items()]
@@ -308,12 +279,12 @@ def _cmd_family(args) -> int:
 
 
 _COMMANDS = {
-    "analyze": _cmd_analyze,
+    "analyze": _cmd_certificate,
     "hilbert": _cmd_hilbert,
     "hessian": _cmd_hessian,
     "lefschetz": _cmd_lefschetz,
     "binary-rank": _cmd_binary_rank,
-    "bounds": _cmd_bounds,
+    "bounds": _cmd_certificate,
     "family": _cmd_family,
 }
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from .apolar import maximal_hilbert_through
 from .bounds import CertificateStrategy
 from .hessian import RankPolicy
-from .poly import Form, LinearForm, form_sum, make_form, monomial, monomials, power, scale
+from .poly import (Form, LinearForm, form_sum, make_form, monomial, monomials,
+                   multiply, power, scale)
 
 RESEED_CAP = 5
 
@@ -91,8 +92,10 @@ def _build_ikeda(seed: int) -> FamilyResult:
 
 
 def _build_exceptional(n: int, d: int, seed: int) -> FamilyResult:
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 2:
+        raise ValueError("need n >= 2: with one x-variable the form has at most "
+                         "5 nonzero rows in slice 2, below dim Q_2 = 6, so no "
+                         "draw is 2-concise")
     if d < 2 * n - 1:
         raise ValueError(f"need d >= {2 * n - 1} so every u-exponent is positive")
     x_vars = _xvar_names(n)
@@ -155,21 +158,13 @@ def _build_power_family(d: int, seed: int) -> FamilyResult:
                                  (0, 0, 1, 0, d): 1})
     f = base
     for _ in range(d - 2):
-        f = _multiply(f, base)
+        f = multiply(f, base)
     k = d - 1
     if not maximal_hilbert_through(f, k):
         raise RuntimeError(f"the built member is not {k}-concise")
     strategy = CertificateStrategy(x_vars=("x", "y", "z"), u_vars=("u", "v"), k=k)
     return FamilyResult("power-family", {"d": d}, f,
                         ("x", "y", "z"), ("u", "v"), strategy)
-
-
-def _multiply(a: Form, b: Form) -> Form:
-    from .poly import multiply
-    out = multiply(a, b)
-    if out is None:
-        raise RuntimeError("unexpected cancellation")
-    return out
 
 
 def power_family_bounds(d: int) -> dict:
@@ -208,9 +203,12 @@ _BUILDERS = {
                      "(x*u^d + y*u^(d-1)*v + z*v^d)^(d-1), buildable for d <= 4"),
 }
 
+# name: (bound function, (fewest, most) integer arguments, description)
 FORMULA_ONLY = {
-    "power-family-large": "power_family_bounds(d) for members above d = 4",
-    "gn-quartic-formula": "gn_quartic_bounds(s, e) for the quartic family",
+    "power-family-large": (power_family_bounds, (1, 1),
+                           "power_family_bounds(d) for members above d = 4"),
+    "gn-quartic-formula": (gn_quartic_bounds, (1, 2),
+                           "gn_quartic_bounds(s, e) for the quartic family"),
 }
 
 
@@ -224,29 +222,32 @@ def family_info() -> list[dict]:
             for name, (_, args, desc) in sorted(_BUILDERS.items())]
     rows += [{"name": name, "parameters": None, "description": desc,
               "buildable": False}
-             for name, desc in sorted(FORMULA_ONLY.items())]
+             for name, (_, _, desc) in sorted(FORMULA_ONLY.items())]
     return rows
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z][a-z0-9-]*)\s*(?:\(\s*([-0-9,\s]*)\s*\))?\s*$")
 
 
-def build(spec: str, seed: int = 0) -> FamilyResult:
-    """Build a family member from a spec like "ikeda" or "exceptional(3,5)"."""
+def _parse_spec(spec: str, kind: str) -> tuple[str, list[int]]:
+    """Name and integer arguments of a spec like "exceptional(3,5)"."""
     match = _SPEC_RE.match(spec)
     if not match:
-        raise ValueError(f"unreadable family spec {spec!r}")
-    name, arg_text = match.group(1), match.group(2)
+        raise ValueError(f"unreadable {kind} spec {spec!r}")
+    name, arg_text = match.group(1), match.group(2) or ""
+    return name, [int(piece) for piece in arg_text.split(",") if piece.strip()]
+
+
+def build(spec: str, seed: int = 0) -> FamilyResult:
+    """Build a family member from a spec like "ikeda" or "exceptional(3,5)"."""
+    name, args = _parse_spec(spec, "family")
     if name in FORMULA_ONLY:
         raise ValueError(f"{name} is formula-only and cannot be built; "
-                         f"{FORMULA_ONLY[name]}")
+                         f"{FORMULA_ONLY[name][2]}")
     if name not in _BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: "
                          + ", ".join(family_names()))
     builder, arity, _ = _BUILDERS[name]
-    args: list[int] = []
-    if arg_text:
-        args = [int(piece) for piece in arg_text.split(",") if piece.strip()]
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} integer parameter(s), "
                          f"got {len(args)}")
@@ -254,3 +255,15 @@ def build(spec: str, seed: int = 0) -> FamilyResult:
     if result.seed is None:
         result.seed = seed
     return result
+
+
+def evaluate_formula(spec: str) -> tuple[str, dict]:
+    """Name and bound pair of a formula-only spec like "power-family-large(17)"."""
+    name, args = _parse_spec(spec, "formula")
+    if name not in FORMULA_ONLY:
+        raise ValueError(f"unknown formula {name!r}; known: "
+                         + ", ".join(sorted(FORMULA_ONLY)))
+    func, (lo, hi), _ = FORMULA_ONLY[name]
+    if not lo <= len(args) <= hi:
+        raise ValueError(f"{name} takes between {lo} and {hi} integers")
+    return name, func(*args)

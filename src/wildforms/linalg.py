@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant run fraction free: rows are scaled to integers and
-reduced with Bareiss two-step elimination, so no rounding exists
-anywhere.  Kernels and solves use plain Fraction Gauss-Jordan, which is
-only ever applied to desk sized blocks.  Sparse matrices are first
-split into connected components of the row/column incidence graph;
+One integer eliminator, Bareiss fraction-free forward elimination,
+serves dense rank, sparse rank and the greedy-first basis: rows are
+scaled to integers first, so no rounding exists anywhere.  Sparse
+matrices are split into connected components of the row/column
+incidence graph and each component is reduced transposed, one line per
+column, so the pivot columns are the greedy-first independent rows;
 catalecticant slices of bi-graded forms are block diagonal under that
-split, which keeps the large cases small.
+split, which keeps the large cases small.  Kernels and solves use plain
+Fraction Gauss-Jordan (``rref``), which is only ever applied to desk
+sized blocks.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ def _int_row(row: Iterable[Fraction | int]) -> list[int]:
     return [int(v * scale) for v in values]
 
 
-def _bareiss_forward(rows: list[list[int]]) -> int:
-    """In-place fraction-free elimination, returns the rank."""
+def _bareiss_forward(rows: list[list[int]]) -> list[int]:
+    """In-place fraction-free elimination, returns the pivot columns."""
     m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    r = 0
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
     prev = 1
     for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
         pivot_row = None
         for i in range(r, m):
             if rows[i][c]:
@@ -50,54 +54,12 @@ def _bareiss_forward(rows: list[list[int]]) -> int:
                 row[j] = (piv * row[j] - f * base[j]) // prev
             row[c] = 0
         prev = piv
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(c)
+    return pivots
 
 
 def rank(matrix: Matrix) -> int:
-    rows = [_int_row(row) for row in matrix]
-    return _bareiss_forward(rows)
-
-
-def det(matrix: Matrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    rows = []
-    for row in matrix:
-        values = [Fraction(x) for x in row]
-        s = math.lcm(*(v.denominator for v in values))
-        scale *= s
-        rows.append([int(v * s) for v in values])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        base = rows[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (piv * row[j] - f * base[j]) // prev
-            row[c] = 0
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+    return len(_bareiss_forward([_int_row(row) for row in matrix]))
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -171,7 +133,19 @@ def solve_columns(columns: Sequence[Sequence[Fraction | int]],
 
 
 def sparse_rank(rows: Sequence[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix, split into incidence components first."""
+    """Rank of a sparse matrix."""
+    return len(greedy_independent(rows))
+
+
+def greedy_independent(rows: Sequence[dict[int, Fraction]]) -> list[int]:
+    """Indices of the greedy-first maximal independent subset of rows.
+
+    Rows in different incidence components are independent of each
+    other, so each component is eliminated on its own, transposed: the
+    pivot columns of the echelon form of M^T are the greedy-first
+    independent rows of M.  Each row is scaled to integers by the lcm
+    of its own denominators, which keeps the same rows independent.
+    """
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -194,46 +168,18 @@ def sparse_rank(rows: Sequence[dict[int, Fraction]]) -> int:
         if row:
             groups.setdefault(find(next(iter(row))), []).append(idx)
 
-    total = 0
+    kept: list[int] = []
     for indices in groups.values():
         cols = sorted({c for i in indices for c in rows[i]})
         where = {c: j for j, c in enumerate(cols)}
-        dense = []
-        for i in indices:
+        lines = [[0] * len(indices) for _ in cols]
+        for t, i in enumerate(indices):
             row = rows[i]
             scale = math.lcm(*(v.denominator for v in row.values()))
-            line = [0] * len(cols)
             for c, v in row.items():
-                line[where[c]] = v.numerator * (scale // v.denominator)
-            dense.append(line)
-        total += _bareiss_forward(dense)
-    return total
-
-
-def greedy_independent(rows: Sequence[dict[int, Fraction]]) -> list[int]:
-    """Indices of the greedy-first maximal independent subset of rows."""
-    echelon: dict[int, dict[int, Fraction]] = {}
-    kept: list[int] = []
-    for idx, row in enumerate(rows):
-        work = dict(row)
-        while work:
-            lead = min(work)
-            known = echelon.get(lead)
-            if known is None:
-                break
-            f = work[lead]
-            for c, v in known.items():
-                acc = work.get(c, Fraction(0)) - f * v
-                if acc == 0:
-                    work.pop(c, None)
-                else:
-                    work[c] = acc
-        if work:
-            lead = min(work)
-            piv = work[lead]
-            echelon[lead] = {c: v / piv for c, v in work.items()}
-            kept.append(idx)
-    return kept
+                lines[where[c]][t] = v.numerator * (scale // v.denominator)
+        kept.extend(indices[t] for t in _bareiss_forward(lines))
+    return sorted(kept)
 
 
 def max_matching(row_support: Sequence[Iterable[int]]) -> int:

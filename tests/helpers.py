@@ -9,6 +9,7 @@ sympy objects, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import sympy
 
@@ -93,6 +94,36 @@ def reference_catalecticant(f: Form, k: int):
         rows.append({} if image is None
                     else {where[m]: c for m, c in image.terms.items()})
     return row_monos, col_monos, rows
+
+
+def reference_greedy_independent(rows) -> list[int]:
+    """Indices of the greedy-first maximal independent subset of rows.
+
+    Sparse Fraction elimination one row at a time: a row is kept when
+    it stays nonzero after reduction by the rows kept before it.
+    """
+    echelon: dict[int, dict[int, Fraction]] = {}
+    kept: list[int] = []
+    for idx, row in enumerate(rows):
+        work = dict(row)
+        while work:
+            lead = min(work)
+            known = echelon.get(lead)
+            if known is None:
+                break
+            f = work[lead]
+            for c, v in known.items():
+                acc = work.get(c, Fraction(0)) - f * v
+                if acc == 0:
+                    work.pop(c, None)
+                else:
+                    work[c] = acc
+        if work:
+            lead = min(work)
+            piv = work[lead]
+            echelon[lead] = {c: v / piv for c, v in work.items()}
+            kept.append(idx)
+    return kept
 
 
 def to_sympy(f: Form):

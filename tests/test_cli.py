@@ -209,6 +209,8 @@ class TestFamilyCommand:
         assert run(capsys, "family")[0] == 2
         assert run(capsys, "family", "--list", "--formula",
                    "power-family-large(17)")[0] == 2
+        code, _, err = run(capsys, "family", "--formula", "power-family-large(17")
+        assert code == 2 and "unreadable formula spec" in err
 
 
 class TestBadInput:
@@ -247,6 +249,11 @@ class TestBadInput:
         code, _, err = run(capsys, "hilbert", "--family", "heptagon")
         assert code == 2
         assert "unknown family" in err
+
+    def test_exceptional_one_x_variable(self, capsys):
+        code, _, err = run(capsys, "analyze", "--family", "exceptional(1,3)")
+        assert code == 2
+        assert err.startswith("error:") and "n >= 2" in err
 
     def test_bad_partition(self, capsys):
         base = ["bounds", "--poly", "x*u^2 + y*u*v + z*v^2",

@@ -111,6 +111,11 @@ class TestBuildErrors:
         with pytest.raises(ValueError):
             build("monomial-spread(0, 4)")
 
+    def test_exceptional_needs_two_x_variables(self):
+        for d in range(1, 5):
+            with pytest.raises(ValueError, match="n >= 2"):
+                build(f"exceptional(1, {d})")
+
 
 class TestCatalog:
     def test_names_sorted(self):
