@@ -212,9 +212,11 @@ def _cmd_hessian(args) -> int:
              f"{report.method})",
              f"degenerate: {report.degenerate}"]
     if k == l and hess.nrows <= strategy.policy.max_symbolic_dim:
-        det = hessian_determinant(f, k, strategy.policy)
-        payload["determinant_vanishes"] = det is None
-        lines.append(f"hess^{k} vanishes identically: {det is None}")
+        # a certified square rank already decides whether det vanishes
+        vanishes = (report.degenerate if report.certified
+                    else hessian_determinant(f, k, strategy.policy) is None)
+        payload["determinant_vanishes"] = vanishes
+        lines.append(f"hess^{k} vanishes identically: {vanishes}")
     _emit(args, payload, lines)
     return 0
 

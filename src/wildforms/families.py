@@ -235,7 +235,14 @@ def _parse_spec(spec: str, kind: str) -> tuple[str, list[int]]:
     if not match:
         raise ValueError(f"unreadable {kind} spec {spec!r}")
     name, arg_text = match.group(1), match.group(2) or ""
-    return name, [int(piece) for piece in arg_text.split(",") if piece.strip()]
+    args = []
+    for piece in filter(str.strip, arg_text.split(",")):
+        try:
+            args.append(int(piece))
+        except ValueError:
+            raise ValueError(f"{kind} spec {spec!r} has a non-integer "
+                             f"argument {piece.strip()!r}") from None
+    return name, args
 
 
 def build(spec: str, seed: int = 0) -> FamilyResult:

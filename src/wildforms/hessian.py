@@ -40,6 +40,15 @@ class RankPolicy:
     max_entry_degree: int = 12
     strict: bool = False
 
+    def __post_init__(self):
+        # a report with no evaluation or a negative cap certifies nothing
+        if self.trials < 1:
+            raise ValueError(f"rank trials must be at least 1, got {self.trials}")
+        if self.max_symbolic_dim < 0 or self.max_entry_degree < 0:
+            raise ValueError("symbolic caps must be nonnegative, got dimension "
+                             f"{self.max_symbolic_dim} and entry degree "
+                             f"{self.max_entry_degree}")
+
 
 @dataclass
 class RankReport:

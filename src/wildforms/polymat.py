@@ -4,10 +4,12 @@ A polynomial is a dict from packed exponent keys to nonzero int
 coefficients; the empty dict is zero.  An exponent tuple packs into a
 single int, 16 bits per variable with the first variable in the top
 field, so multiplying monomials is one integer addition and comparing
-packed keys is lex comparison.  Bareiss two-step elimination keeps
-every division exact over Z[x], and the Gauss-Jordan variant clears
-above the pivots as well, which produces polynomial kernel vectors
-with no rational functions in sight.
+packed keys is lex comparison.  Bareiss elimination (Math. Comp. 22,
+1968) divides each update exactly by the previous pivot, so every
+entry stays in Z[x].  Forward elimination gives the determinant and
+the rank; for a rank-deficient matrix, one fraction-free back
+substitution through the echelon rows gives a polynomial kernel
+vector, with no rational functions in sight.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def bareiss_det(rows: list[list[Poly]], guard: int) -> Poly:
 
 
 class JordanResult:
-    """Outcome of fraction-free Gauss-Jordan elimination."""
+    """Outcome of fraction-free forward elimination: rank, pivots, echelon rows."""
 
     __slots__ = ("rank", "pivot_cols", "rows", "ncols")
 
@@ -217,7 +219,18 @@ class JordanResult:
 
 
 def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
-    """Fraction-free Gauss-Jordan; divisions stay exact above pivots too."""
+    """Fraction-free forward elimination; the rows come back in echelon form.
+
+    As in bareiss_det, each pivot updates only the rows below it and the
+    columns to its right, but a column with no pivot is skipped and the
+    pivot columns are recorded.  The pivots (fewest terms, first row on
+    ties) are those of fraction-free Gauss-Jordan clearing, and
+    kernel_vector returns the kernel vector that clearing gives.  Rank,
+    pivots and witness are thus those of Gauss-Jordan elimination, which
+    is why the function keeps its name and symbolic rank reports keep
+    the method label "fraction-free Gauss-Jordan elimination": tools
+    that read the reports and the traces match on both.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     work = [list(row) for row in rows]
@@ -238,14 +251,10 @@ def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
         work[r], work[pivot_row] = work[pivot_row], work[r]
         piv = work[r][c]
         base = work[r]
-        for i in range(m):
-            if i == r:
-                continue
+        for i in range(r + 1, m):
             row = work[i]
             f = row[c]
-            for j in range(n):
-                if j == c:
-                    continue
+            for j in range(c + 1, n):
                 if f:
                     t = psub(pmul(piv, row[j]), pmul(f, base[j]))
                 elif row[j]:
@@ -265,11 +274,14 @@ def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
 def kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:
     """One right-kernel vector with polynomial entries, or None if full rank.
 
-    Uses the first free column.  The pivot block of a fraction-free
-    Gauss-Jordan result is diagonal with entries +-p, p the final
-    pivot, which the construction below checks row by row.
+    Uses the first free column c and back-substitutes through the
+    echelon rows with v[c] = p, p the last pivot.  p is the determinant
+    of the pivot block up to sign, so by Cramer's rule every entry is a
+    polynomial and each division below is exact (pdivexact raises if
+    one is not).
     """
-    free = [c for c in range(result.ncols) if c not in result.pivot_cols]
+    pivots = result.pivot_cols
+    free = [c for c in range(result.ncols) if c not in pivots]
     if not free:
         return None
     c = free[0]
@@ -277,16 +289,13 @@ def kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:
     if result.rank == 0:
         vector[c] = {0: 1}
         return vector
-    p = result.rows[0][result.pivot_cols[0]]
+    p = result.rows[-1][pivots[-1]]
     vector[c] = p
-    for i, pc in enumerate(result.pivot_cols):
-        diag = result.rows[i][pc]
-        entry = result.rows[i][c]
-        if diag == p:
-            vector[pc] = pneg(entry)
-        elif diag == pneg(p):
-            vector[pc] = entry
-        else:
-            # fall back to an exact per-row rescale
-            vector[pc] = pneg(pdivexact(pmul(entry, p), diag, guard))
+    for i in range(result.rank - 1, -1, -1):
+        row = result.rows[i]
+        acc = pmul(row[c], p)
+        for pc in pivots[i + 1:]:
+            if row[pc] and vector[pc]:
+                acc = padd(acc, pmul(row[pc], vector[pc]))
+        vector[pivots[i]] = pneg(pdivexact(acc, row[pivots[i]], guard))
     return vector

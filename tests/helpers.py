@@ -3,7 +3,9 @@
 The oracles recompute reference values through sympy with dense
 matrices and textbook case analysis.  They share no code with the
 package: differentiation, matrix ranks, and factorizations all run on
-sympy objects, so agreement is meaningful evidence.
+sympy objects, so agreement is meaningful evidence.  The reference_*
+routines are the earlier versions of library eliminators, kept so that
+their replacements can be differential-tested against them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sympy
 
 from wildforms.poly import (Form, LinearForm, apply, form_sum, make_form,
                             monomial, monomials, multiply, parse, power)
+from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
 from wildforms.powersum import PowerSumDecomposition
 
 VAR_LETTERS = ("x", "y", "z", "w")
@@ -124,6 +127,82 @@ def reference_greedy_independent(rows) -> list[int]:
             echelon[lead] = {c: v / piv for c, v in work.items()}
             kept.append(idx)
     return kept
+
+
+def reference_bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
+    """Fraction-free Gauss-Jordan; divisions stay exact above pivots too."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    work = [list(row) for row in rows]
+    prev: Poly = {0: 1}
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot_row = None
+        best = None
+        for i in range(r, m):
+            if work[i][c]:
+                size = len(work[i][c])
+                if best is None or size < best:
+                    best = size
+                    pivot_row = i
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        piv = work[r][c]
+        base = work[r]
+        for i in range(m):
+            if i == r:
+                continue
+            row = work[i]
+            f = row[c]
+            for j in range(n):
+                if j == c:
+                    continue
+                if f:
+                    t = psub(pmul(piv, row[j]), pmul(f, base[j]))
+                elif row[j]:
+                    t = pmul(piv, row[j])
+                else:
+                    continue
+                row[j] = pdivexact(t, prev, guard)
+            row[c] = {}
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return JordanResult(r, pivot_cols, work[:r], n)
+
+
+def reference_kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:
+    """One right-kernel vector with polynomial entries, or None if full rank.
+
+    Uses the first free column.  The pivot block of a fraction-free
+    Gauss-Jordan result is diagonal with entries +-p, p the final
+    pivot, which the construction below checks row by row.
+    """
+    free = [c for c in range(result.ncols) if c not in result.pivot_cols]
+    if not free:
+        return None
+    c = free[0]
+    vector: list[Poly] = [{} for _ in range(result.ncols)]
+    if result.rank == 0:
+        vector[c] = {0: 1}
+        return vector
+    p = result.rows[0][result.pivot_cols[0]]
+    vector[c] = p
+    for i, pc in enumerate(result.pivot_cols):
+        diag = result.rows[i][pc]
+        entry = result.rows[i][c]
+        if diag == p:
+            vector[pc] = pneg(entry)
+        elif diag == pneg(p):
+            vector[pc] = entry
+        else:
+            # fall back to an exact per-row rescale
+            vector[pc] = pneg(pdivexact(pmul(entry, p), diag, guard))
+    return vector
 
 
 def to_sympy(f: Form):

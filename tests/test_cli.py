@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
+from wildforms import cli
 from wildforms.cli import main
+from wildforms.families import build
+from wildforms.hessian import RankPolicy, hessian_determinant
+from wildforms.poly import parse
 
 SHEARED = ("x^3 + 2*x^2*u + x*y^2 + x*y*v + x*u^2 + y^2*z + y^2*u "
            "+ 2*y*z*v + y*u*v + z*v^2")
@@ -118,6 +123,51 @@ class TestHessian:
         assert "determinant_vanishes" not in payload
         assert payload["rank"]["value"] == 9
 
+    @pytest.mark.parametrize("spec,k,vanishes", [
+        ("perazzo", 1, True),
+        ("ikeda", 2, True),
+        ("exceptional(3,5)", 2, True),
+        ("ikeda", 1, False),
+    ])
+    def test_certified_rank_decides_determinant(self, capsys, monkeypatch,
+                                                spec, k, vanishes):
+        calls = []
+        monkeypatch.setattr(cli, "hessian_determinant",
+                            lambda *a: calls.append(a))
+        payload = run_json(capsys, "hessian", "--family", spec, "--k", str(k),
+                           "--max-symbolic-dim", "16")
+        assert payload["rank"]["certainty"] != "probabilistic"
+        assert not calls
+        det = hessian_determinant(build(spec).form, k,
+                                  RankPolicy(max_symbolic_dim=16))
+        assert payload["determinant_vanishes"] is (det is None)
+        assert (det is None) is vanishes
+
+    def test_probabilistic_rank_computes_determinant(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "RankPolicy",
+                            functools.partial(RankPolicy, max_entry_degree=0))
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return hessian_determinant(*a)
+        monkeypatch.setattr(cli, "hessian_determinant", counted)
+        payload = run_json(capsys, "hessian", "--poly", SHEARED,
+                           "--vars", "x,y,z,u,v", "--k", "1")
+        assert payload["rank"]["certainty"] == "probabilistic"
+        assert len(calls) == 1
+        det = hessian_determinant(parse(SHEARED, "xyzuv"), 1)
+        assert payload["determinant_vanishes"] is (det is None)
+        assert det is None
+
+    def test_rank_policy_that_certifies_nothing(self, capsys):
+        base = ["hessian", "--family", "ikeda", "--k", "2"]
+        for extra in (["--rank-trials", "0", "--max-symbolic-dim", "0"],
+                      ["--rank-trials", "-1"], ["--max-symbolic-dim", "-1"]):
+            code, out, err = run(capsys, *base, *extra)
+            assert code == 2 and not out
+            assert err.startswith("error:")
+
     def test_strict_budget_exit(self, capsys):
         code, _, err = run(capsys, "hessian", "--poly", SHEARED,
                            "--vars", "x,y,z,u,v", "--k", "1",
@@ -211,6 +261,11 @@ class TestFamilyCommand:
                    "power-family-large(17)")[0] == 2
         code, _, err = run(capsys, "family", "--formula", "power-family-large(17")
         assert code == 2 and "unreadable formula spec" in err
+        code, _, err = run(capsys, "family", "--formula",
+                           "gn-quartic-formula(3,-)")
+        assert code == 2
+        assert err == ("error: formula spec 'gn-quartic-formula(3,-)' has a "
+                       "non-integer argument '-'\n")
 
 
 class TestBadInput:
@@ -249,6 +304,12 @@ class TestBadInput:
         code, _, err = run(capsys, "hilbert", "--family", "heptagon")
         assert code == 2
         assert "unknown family" in err
+
+    def test_family_argument_not_an_integer(self, capsys):
+        code, _, err = run(capsys, "hilbert", "--family", "exceptional(3,-)")
+        assert code == 2
+        assert err == ("error: family spec 'exceptional(3,-)' has a "
+                       "non-integer argument '-'\n")
 
     def test_exceptional_one_x_variable(self, capsys):
         code, _, err = run(capsys, "analyze", "--family", "exceptional(1,3)")

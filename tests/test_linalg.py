@@ -19,7 +19,8 @@ from wildforms.linalg import (
     sparse_rank,
 )
 
-from helpers import reference_greedy_independent
+from helpers import (reference_bareiss_jordan, reference_greedy_independent,
+                     reference_kernel_vector)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -241,6 +242,12 @@ class TestPolymat:
                 assert sympy.expand(acc) == 0
         assert found >= 5
 
+    def test_jordan_kernel_vector_rank_zero(self):
+        guard = polymat.guard_mask(2)
+        result = polymat.bareiss_jordan([[{}, {}], [{}, {}]], guard)
+        assert (result.rank, result.pivot_cols, result.rows) == (0, [], [])
+        assert polymat.kernel_vector(result, guard) == [{0: 1}, {}]
+
     def test_form_round_trip(self):
         from wildforms.poly import parse
         f = parse("x^2*y - 1/3*y^3", "xy")
@@ -254,3 +261,84 @@ class TestPolymat:
         rows = [[parse("1/2*x^2", "xy"), None],
                 [parse("x*y - 1/3*y^2", "xy"), parse("5*x^2", "xy")]]
         assert polymat.common_scale(rows) == 6
+
+
+def product_matrix(rng, m, n, inner):
+    """m x n polynomial matrix of rank <= inner, as a product A*B."""
+    a = [[random_poly(rng, 2, max_deg=1, terms=2) for _ in range(inner)]
+         for _ in range(m)]
+    b = [[random_poly(rng, 2, max_deg=1, terms=2) for _ in range(n)]
+         for _ in range(inner)]
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = {}
+            for t in range(inner):
+                acc = polymat.padd(acc, polymat.pmul(a[i][t], b[t][j]))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def assert_matches_reference(rows, guard):
+    got = polymat.bareiss_jordan(rows, guard)
+    want = reference_bareiss_jordan(rows, guard)
+    assert got.rank == want.rank
+    assert got.pivot_cols == want.pivot_cols
+    assert got.ncols == want.ncols
+    assert polymat.kernel_vector(got, guard) == \
+        reference_kernel_vector(want, guard)
+    return got
+
+
+class TestJordanAgainstReference:
+    """Forward elimination plus back substitution against the earlier
+    full Gauss-Jordan clearing: same rank, pivots and kernel witness."""
+
+    def test_seeded_matrices(self):
+        rng = random.Random(114)
+        guard = polymat.guard_mask(2)
+        deficient = zero_cols = 0
+        for trial in range(120):
+            shape = trial % 3  # tall, wide, square
+            small, large = rng.randint(1, 3), rng.randint(3, 5)
+            m, n = [(large, small), (small, large), (large, large)][shape]
+            inner = rng.randint(0, min(m, n))
+            if trial % 4 == 0:
+                rows = [[random_poly(rng, 2, max_deg=1, terms=2)
+                         for _ in range(n)] for _ in range(m)]
+            else:
+                rows = product_matrix(rng, m, n, inner)
+            if trial % 5 == 0:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = {}
+                zero_cols += 1
+            result = assert_matches_reference(rows, guard)
+            deficient += result.rank < min(m, n)
+        assert deficient >= 40 and zero_cols >= 20
+
+    def test_rank_zero(self):
+        guard = polymat.guard_mask(2)
+        for m, n in ((1, 1), (3, 2), (2, 4)):
+            result = assert_matches_reference(
+                [[{} for _ in range(n)] for _ in range(m)], guard)
+            assert result.rank == 0
+
+    @pytest.mark.parametrize("spec,seed,k,l", [
+        ("perazzo", 0, 1, 1),
+        ("ikeda", 0, 2, 2),
+        ("exceptional(3,5)", 1, 2, 2),
+        ("exceptional(3,5)", 1, 2, 3),
+    ])
+    def test_degenerate_hessians(self, spec, seed, k, l):
+        from wildforms.families import build
+        from wildforms.hessian import mixed_hessian
+        hess = mixed_hessian(build(spec, seed=seed).form, k, l)
+        scale = polymat.common_scale(hess.entries)
+        rows = [[polymat.from_form(e, scale) for e in row]
+                for row in hess.entries]
+        result = assert_matches_reference(
+            rows, polymat.guard_mask(hess.form.nvars))
+        assert result.rank < min(hess.nrows, hess.ncols)
