@@ -16,6 +16,14 @@ Every certifying step records how it was established.  Structural
 evidence (slice rank counts, support matchings) and symbolic evidence
 (fraction-free determinants) are exact; when neither is available the
 routes report failure rather than downgrade to sampled evidence.
+
+Before a square Hessian's symbolic determinant, the Hessian is
+evaluated exactly at the first seeded point of the rank policy.  Full
+rank there proves the determinant is not identically zero, which
+settles the route (no bound) without the determinant; only a rank
+deficient evaluation runs the symbolic determinant.  The point is
+sampled, but the conclusion drawn from it is exact, so this is not
+sampled evidence: a missed point only costs the determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ from fractions import Fraction
 from . import linalg
 from .apolar import (catalecticant, conciseness, hilbert,
                      maximal_hilbert_through, require_analysis_form)
-from .hessian import RankPolicy, generic_rank, hessian_determinant, mixed_hessian
+from .hessian import (RankPolicy, evaluated_rank, generic_rank,
+                      hessian_determinant, mixed_hessian, seeded_points)
 from .poly import Form, bigrade, form_sum, make_form, render
 from .powersum import PowerSumDecomposition, verify_decomposition
 
@@ -209,6 +218,9 @@ def _certify_rank_deficient(f: Form, l: int, s: int, bound: int,
     """Certified evidence that Hess^(l,s) has generic rank below bound."""
     hess = mixed_hessian(f, l, s)
     if l == s and hess.nrows <= policy.max_symbolic_dim:
+        # full rank at one point proves det Hess^(l,l) is not identically zero
+        if evaluated_rank(hess, next(seeded_points(policy, f.nvars))) == hess.nrows:
+            return None
         if hessian_determinant(f, l, policy) is None:
             return {"method": "symbolic-determinant",
                     "certainty": "certified-symbolic",

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
-from .poly import Form, LinearForm, apply, monomial, monomials, multiply
+from .poly import (Form, LinearForm, _as_fraction, apply, monomial, monomials,
+                   multiply)
 
 
 class BudgetExceeded(RuntimeError):
@@ -130,12 +131,46 @@ def mixed_hessian(f: Form, k: int, l: int) -> MixedHessian:
     return MixedHessian(f, k, l, rows, cols, entries)
 
 
+def seeded_points(policy: RankPolicy, nvars: int):
+    """The policy's evaluation points: ``policy.trials`` seeded integer tuples."""
+    rng = random.Random(policy.seed)
+    for _ in range(policy.trials):
+        yield tuple(rng.randint(1, policy.window) for _ in range(nvars))
+
+
 def evaluated_rank(hess: MixedHessian, point) -> int:
-    """Exact rank of the Hessian evaluated at one rational point."""
+    """Exact rank of the Hessian evaluated at one rational point.
+
+    The work stays in the integers.  Every entry is a form of degree
+    delta = d-k-l, so with D the lcm of the point's denominators and
+    ``scale`` the lcm of the entries' denominators, evaluating
+    scale*entry at the integer point D*p gives scale*D^delta times the
+    entry's value at p.  That is H(p) times one nonzero integer, which
+    has the same rank.
+    """
     if not hess.entries or not hess.entries[0]:
         return 0
-    matrix = [[Fraction(0) if e is None else e.evaluate(point) for e in row]
-              for row in hess.entries]
+    if len(point) != hess.form.nvars:
+        raise ValueError("point length does not match variable count")
+    values = [_as_fraction(v) for v in point]
+    lift = math.lcm(*(v.denominator for v in values))
+    powers = [[int(v * lift) ** e for e in range(hess.entry_degree + 1)]
+              for v in values]
+    scale = polymat.common_scale(hess.entries)
+    matrix = []
+    for entries in hess.entries:
+        row = []
+        for entry in entries:
+            total = 0
+            if entry is not None:
+                for exponent, c in entry.terms.items():
+                    term = c.numerator * (scale // c.denominator)
+                    for p, e in zip(powers, exponent):
+                        if e:
+                            term *= p[e]
+                    total += term
+            row.append(total)
+        matrix.append(row)
     return linalg.rank(matrix)
 
 
@@ -158,13 +193,11 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
         return RankReport(0, "certified-structural", "empty support",
                           m, n, degenerate=cap > 0, support_bound=bound)
 
-    rng = random.Random(policy.seed)
     best = 0
     witness = None
     trials = 0
     target = min(cap, bound)
-    for _ in range(policy.trials):
-        point = tuple(rng.randint(1, policy.window) for _ in hess.form.variables)
+    for point in seeded_points(policy, hess.form.nvars):
         trials += 1
         r = evaluated_rank(hess, point)
         if r > best:
@@ -306,9 +339,7 @@ def lefschetz_property(f: Form, prop: str,
     maps = _criterion_maps(f, prop)
     hessians = [mixed_hessian(f, k, l) for k, l in maps]
     required = [min(h.nrows, h.ncols) for h in hessians]
-    rng = random.Random(policy.seed)
-    for _ in range(policy.trials):
-        point = tuple(rng.randint(1, policy.window) for _ in f.variables)
+    for point in seeded_points(policy, f.nvars):
         achieved = [evaluated_rank(h, point) for h in hessians]
         if all(a == r for a, r in zip(achieved, required)):
             checks = [{"hessian": [h.k, h.l], "source": h.l,

@@ -22,6 +22,9 @@ Matrix = Sequence[Sequence[Fraction | int]]
 
 
 def _int_row(row: Iterable[Fraction | int]) -> list[int]:
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row
     values = [Fraction(x) for x in row]
     scale = math.lcm(*(v.denominator for v in values)) if values else 1
     return [int(v * scale) for v in values]

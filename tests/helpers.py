@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import sympy
 
+from wildforms import linalg
 from wildforms.poly import (Form, LinearForm, apply, form_sum, make_form,
                             monomial, monomials, multiply, parse, power)
 from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
@@ -203,6 +204,15 @@ def reference_kernel_vector(result: JordanResult, guard: int) -> list[Poly] | No
             # fall back to an exact per-row rescale
             vector[pc] = pneg(pdivexact(pmul(entry, p), diag, guard))
     return vector
+
+
+def reference_evaluated_rank(hess, point) -> int:
+    """Exact rank of the Hessian evaluated at one rational point."""
+    if not hess.entries or not hess.entries[0]:
+        return 0
+    matrix = [[Fraction(0) if e is None else e.evaluate(point) for e in row]
+              for row in hess.entries]
+    return linalg.rank(matrix)
 
 
 def to_sympy(f: Form):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from wildforms import bounds
 from wildforms.bounds import (
     SCHEMA,
     CertificateStrategy,
@@ -20,6 +23,10 @@ from wildforms.families import build
 from wildforms.hessian import RankPolicy
 from wildforms.poly import LinearForm, parse, power
 from wildforms.powersum import PowerSumDecomposition
+
+from helpers import random_form
+
+FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 
 
 class TestMonomialBound:
@@ -184,9 +191,7 @@ class TestSliceRankVanishing:
     def test_certificates_agree_with_symbolic_determinant(self):
         """Whenever the slice criterion certifies in symbolic range,
         the k-th Hessian determinant really is zero."""
-        import random
         from wildforms.hessian import hessian_determinant, mixed_hessian
-        from helpers import random_form
         rng = random.Random(601)
         certified = 0
         for _ in range(120):
@@ -279,6 +284,62 @@ class TestCactusLowerBounds:
             cactus_lower_vanishing(f, 0)
         with pytest.raises(ValueError, match="l\\+s"):
             cactus_lower_degenerate(f, 1, 2, 2)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap bounds.<name>; the returned list gets one entry per call."""
+    calls = []
+    original = getattr(bounds, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
+def dense_quartic():
+    return random_form(random.Random(607), nvars=3, degree=4, density=1.0)
+
+
+class TestDeterminantWitness:
+    """One full-rank evaluation stands in for a nonzero determinant."""
+
+    @pytest.mark.parametrize("form", [FERMAT, dense_quartic()],
+                             ids=["fermat", "quartic"])
+    def test_nondegenerate_skips_the_determinant(self, monkeypatch, form):
+        determinants = count_calls(monkeypatch, "hessian_determinant")
+        witnesses = count_calls(monkeypatch, "evaluated_rank")
+        assert cactus_lower_vanishing(form, 1) is None
+        assert cactus_lower_degenerate(form, 1) is None
+        assert determinants == []
+        assert len(witnesses) == 2
+
+    @pytest.mark.parametrize("spec,k", [("perazzo", 1), ("ikeda", 2)])
+    def test_degenerate_runs_the_determinant_once_per_route(self, monkeypatch,
+                                                            spec, k):
+        determinants = count_calls(monkeypatch, "hessian_determinant")
+        f = build(spec).form
+        for route in (cactus_lower_vanishing, cactus_lower_degenerate):
+            before = len(determinants)
+            got = route(f, k)
+            assert len(determinants) == before + 1
+            assert got.evidence["method"] == "symbolic-determinant"
+            assert got.evidence["certainty"] == "certified-symbolic"
+
+    @pytest.mark.parametrize("form", [
+        build("perazzo").form, build("ikeda").form, build("bb-cubic").form,
+        FERMAT, dense_quartic()],
+        ids=["perazzo", "ikeda", "bb-cubic", "fermat", "quartic"])
+    def test_missed_witness_leaves_the_certificate_unchanged(self, monkeypatch,
+                                                            form):
+        expected = wild_certificate(form)
+        monkeypatch.setattr(bounds, "evaluated_rank",
+                            lambda hess, point: hess.nrows - 1)
+        determinants = count_calls(monkeypatch, "hessian_determinant")
+        assert wild_certificate(form) == expected
+        assert determinants
 
 
 class TestWildCertificate:

@@ -1,0 +1,87 @@
+"""Frozen CLI outputs: ``--json --deterministic`` stays byte-identical.
+
+Each command below runs in-process through ``wildforms.cli.main``; the
+sha256 of its exit code, stdout and stderr must equal the digest stored
+in ``tests/data/frozen_outputs.json``.  The corpus covers both cactus
+routes (slice rank, symbolic determinant, support matching, and dense
+forms whose Hessian determinant is certified nonzero by evaluation),
+rational coefficients, ``hessian`` with k = l and k < l, ``lefschetz``
+with sampled and given (rational) elements, and ``binary-rank``.
+
+The digests were written by the program of commit ee53730, from the
+root of its checkout with this file copied in:
+
+    PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
+
+A change that means to alter an output regenerates the file the same
+way and says which outputs moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from wildforms.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "frozen_outputs.json"
+
+DENSE_TERNARY_QUARTIC = ("3*x^4 - 2*x^3*y + x^2*y^2 + 5*x*y^3 - y^4 + x^2*z^2"
+                         " - 4*x*z^3 + 2*y^2*z^2 + y*z^3 + 7*z^4 + x*y*z^2")
+DENSE_QUATERNARY_QUARTIC = ("x^4 + 2*y^4 - 3*z^4 + w^4 + x*y*z*w + x^2*y*z"
+                            " - y^2*z*w + 3*x*z^2*w + 2*x^3*w - y^3*z")
+RATIONAL_CUBIC = "1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3 - 2/5*x*z^2"
+
+COMMANDS = [
+    ("analyze", "--family", "ikeda"),
+    ("analyze", "--family", "perazzo"),
+    ("analyze", "--family", "bb-cubic"),
+    ("analyze", "--family", "exceptional(3,5)", "--seed", "1"),
+    ("analyze", "--family", "monomial-spread(2,3)"),
+    ("analyze", "--poly", DENSE_TERNARY_QUARTIC, "--vars", "x,y,z"),
+    ("analyze", "--poly", DENSE_QUATERNARY_QUARTIC, "--vars", "x,y,z,w"),
+    ("analyze", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z"),
+    ("hessian", "--family", "perazzo", "--k", "1"),
+    ("hessian", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z", "--k", "1"),
+    ("hessian", "--family", "ikeda", "--k", "1", "--l", "2"),
+    ("lefschetz", "--family", "ikeda", "--wlp"),
+    ("lefschetz", "--family", "perazzo", "--slp"),
+    ("lefschetz", "--poly", DENSE_TERNARY_QUARTIC, "--vars", "x,y,z", "--slp"),
+    ("lefschetz", "--family", "perazzo", "--wlp", "--element=1/2,-3,2/5,1,7"),
+    ("lefschetz", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z", "--slp",
+     "--element=-1/3,2,5/4"),
+    ("binary-rank", "--poly", "x^5 + 3*x^2*y^3 - 2*x*y^4 + y^5", "--vars", "x,y"),
+]
+
+
+def _key(argv: tuple[str, ...]) -> str:
+    return " ".join(argv)
+
+
+def digest(argv: tuple[str, ...]) -> str:
+    """sha256 over the exit code, stdout and stderr of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json", "--deterministic"])
+    blob = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_corpus_matches_the_frozen_file():
+    frozen = json.loads(DATA.read_text())
+    assert sorted(frozen) == sorted(_key(argv) for argv in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[_key(a)[:60] for a in COMMANDS])
+def test_output_is_frozen(argv):
+    frozen = json.loads(DATA.read_text())
+    assert digest(argv) == frozen[_key(argv)]
+
+
+if __name__ == "__main__":
+    print(json.dumps({_key(argv): digest(argv) for argv in COMMANDS}, indent=2))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -10,6 +11,7 @@ import sympy
 from wildforms.families import build
 from wildforms.hessian import (
     BudgetExceeded,
+    MixedHessian,
     RankPolicy,
     evaluated_rank,
     generic_rank,
@@ -18,10 +20,12 @@ from wildforms.hessian import (
     lefschetz_property,
     mixed_hessian,
     multiplication_map_rank,
+    seeded_points,
 )
-from wildforms.poly import LinearForm, parse
+from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
-from helpers import random_form, random_linear, sheared_perazzo, to_sympy
+from helpers import (VAR_LETTERS, random_form, random_linear,
+                     reference_evaluated_rank, sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 
@@ -144,6 +148,122 @@ class TestGenericRankLadder:
         a = generic_rank(mixed_hessian(f, 1, 1), RankPolicy(seed=5))
         b = generic_rank(mixed_hessian(f, 1, 1), RankPolicy(seed=5))
         assert a.to_dict() == b.to_dict()
+
+
+def rational_form(rng: random.Random, nvars: int, degree: int):
+    """Seeded dense form whose coefficients have mixed signs and denominators."""
+    while True:
+        terms = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                 for e in monomials(nvars, degree) if rng.random() < 0.7}
+        if any(terms.values()):
+            return make_form(VAR_LETTERS[:nvars], terms)
+
+
+def evaluation_points(rng: random.Random, nvars: int):
+    """Integer, rational, mixed, zero-coordinate and all-zero points."""
+    window = 1 << 16
+    integral = [rng.randint(-window, window) for _ in range(nvars)]
+    yield tuple(integral)
+    yield tuple(rng.randint(1, window) for _ in range(nvars))
+    yield tuple(Fraction(rng.randint(-window, window), rng.randint(1, 97))
+                for _ in range(nvars))
+    yield tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 6, 35]))
+                if i % 2 else rng.randint(-9, 9) for i in range(nvars))
+    integral[rng.randrange(nvars)] = 0
+    yield tuple(integral)
+    yield (0,) * nvars
+
+
+class TestEvaluatedRankAgainstReference:
+    """The integer evaluation agrees with the Fraction one it replaced."""
+
+    def _check(self, hess, rng):
+        for point in evaluation_points(rng, hess.form.nvars):
+            assert evaluated_rank(hess, point) == reference_evaluated_rank(hess, point)
+
+    def test_seeded_rational_forms(self):
+        rng = random.Random(503)
+        checked = set()
+        for _ in range(24):
+            nvars, degree = rng.randint(2, 4), rng.randint(1, 5)
+            f = rational_form(rng, nvars, degree)
+            for k in range(degree + 1):
+                for l in range(degree - k + 1):
+                    hess = mixed_hessian(f, k, l)
+                    checked.add(hess.entry_degree)
+                    self._check(hess, rng)
+        assert 0 in checked and max(checked) >= 4
+
+    def test_power_sums_where_one_power_vanishes(self):
+        """H(p) of sum s_i*l_i^d over n independent l_i has rank n minus
+        the number of l_i vanishing at p; such points need exact values."""
+        rng = random.Random(521)
+        checked = 0
+        while checked < 20:
+            nvars, degree = rng.randint(2, 4), rng.randint(3, 5)
+            variables = VAR_LETTERS[:nvars]
+            linears = [[Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                        for _ in variables] for _ in variables]
+            if sympy.Matrix(linears).rank() < nvars:
+                continue
+            powers = []
+            for ell in linears:
+                s = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                terms = power(LinearForm(variables, ell), degree).terms
+                powers.append(make_form(variables, {e: s * c for e, c in terms.items()}))
+            f = form_sum(powers)
+            # a rational point where the first linear form vanishes
+            ell = linears[0]
+            j = max(i for i, c in enumerate(ell) if c)
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in variables]
+            point[j] = 0
+            point[j] = -sum(c * x for c, x in zip(ell, point)) / ell[j]
+            if any(sum(c * x for c, x in zip(other, point)) == 0
+                   for other in linears[1:]):
+                continue
+            hess = mixed_hessian(f, 1, 1)
+            assert hess.nrows == nvars
+            assert evaluated_rank(hess, point) == nvars - 1
+            assert reference_evaluated_rank(hess, point) == nvars - 1
+            checked += 1
+
+    def test_known_ranks(self):
+        hess = mixed_hessian(build("perazzo").form, 1, 1)
+        assert evaluated_rank(hess, (3, -1, Fraction(2, 7), 5, 1)) == 4
+        assert evaluated_rank(hess, (0, 0, 0, 0, 0)) == 0
+        assert evaluated_rank(mixed_hessian(FERMAT, 1, 1), (1, 0, 2)) == 2
+
+    @pytest.mark.parametrize("spec,seed", [
+        ("perazzo", 0), ("ikeda", 0), ("exceptional(3,5)", 1)])
+    def test_family_hessians(self, spec, seed):
+        f = build(spec, seed=seed).form
+        rng = random.Random(509)
+        for k in range(f.degree // 2 + 1):
+            for l in (k, k + 1):
+                if k + l <= f.degree:
+                    self._check(mixed_hessian(f, k, l), rng)
+
+    def test_empty_basis(self):
+        for entries in ([], [[], []]):
+            hess = MixedHessian(FERMAT, 1, 1, None, None, entries)
+            assert evaluated_rank(hess, (1, 2, 3)) == 0
+            assert reference_evaluated_rank(hess, (1, 2, 3)) == 0
+
+    def test_point_checks(self):
+        hess = mixed_hessian(FERMAT, 1, 1)
+        with pytest.raises(ValueError, match="point length"):
+            evaluated_rank(hess, (1, 2))
+        with pytest.raises(TypeError):
+            evaluated_rank(hess, (1.0, 2, 3))
+
+
+class TestSeededPoints:
+    def test_sequence_is_the_policy_rng(self):
+        policy = RankPolicy(seed=7, trials=3, window=50)
+        rng = random.Random(7)
+        expected = [tuple(rng.randint(1, 50) for _ in range(4)) for _ in range(3)]
+        assert list(seeded_points(policy, 4)) == expected
+        assert next(seeded_points(policy, 4)) == expected[0]
 
 
 class TestHessianDeterminant:

@@ -36,6 +36,15 @@ class TestDenseAgainstSympy:
             a = random_matrix(rng, m, n)
             assert rank(a) == sympy.Matrix(a).rank()
 
+    def test_integer_rows_match_and_stay_unchanged(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a = [[int(v) for v in row] for row in random_matrix(rng, m, n)]
+            before = [list(row) for row in a]
+            assert rank(a) == sympy.Matrix(a).rank()
+            assert a == before
+
     def test_nullspace_matches(self):
         rng = random.Random(103)
         for _ in range(30):
