@@ -10,7 +10,10 @@ Hilbert function and a rank-deficient mixed Hessian slice satisfies
 the same bound.  A wild certificate packages one bound of each kind;
 the verdict is "wild" exactly when the certified border upper bound
 does not exceed the certified cactus threshold, so the cactus rank
-strictly beats the border rank.
+strictly beats the border rank.  The certificate runs the vanishing
+route at its order k: the degenerate route at the pair (k,k) asks the
+same question of the same Hessian, so it is subsumed, and it remains
+available for other pairs (l,s).
 
 Every certifying step records how it was established.  Structural
 evidence (slice rank counts, support matchings) and symbolic evidence
@@ -87,13 +90,11 @@ def _resolve_part(g: Form, x_vars, u_vars) -> tuple[int, str] | None:
         return border_bound_monomial(g), "monomial"
     if _is_linear_power(g):
         return 1, "power"
-    if x_vars and u_vars and len(tuple(u_vars)) == 2:
+    if x_vars and u_vars:
         try:
-            k, e = bigrade(g, x_vars, u_vars)
+            return border_bound_bihomogeneous(g, x_vars, u_vars), "bihomogeneous"
         except ValueError:
             return None
-        if 1 <= k <= e:
-            return k * (g.degree + 2), "bihomogeneous"
     return None
 
 
@@ -281,11 +282,11 @@ def cactus_lower_degenerate(f: Form, k: int, l: int | None = None,
         raise ValueError(f"need 0 <= l, s with l+s <= {d}, got ({l}, {s})")
     if not maximal_hilbert_through(f, k):
         return None
-    if not hilbert(f).is_unimodal:
+    hf = hilbert(f)
+    if not hf.is_unimodal:
         return None
-    hess = mixed_hessian(f, l, s)
-    full = min(hess.nrows, hess.ncols)
-    evidence = _certify_rank_deficient(f, l, s, full, policy)
+    # Hess^(l,s) is hf[l] x hf[s]: an apolar basis has slice-rank many monomials
+    evidence = _certify_rank_deficient(f, l, s, min(hf[l], hf[s]), policy)
     if evidence is None:
         return None
     evidence = dict(evidence)
@@ -301,7 +302,6 @@ class CertificateStrategy:
     x_vars: tuple | None = None
     u_vars: tuple | None = None
     k: int | None = None
-    hessian_pair: tuple | None = None
     decomposition: PowerSumDecomposition | None = None
     parts: list | None = None
     notes: list = field(default_factory=list)
@@ -332,13 +332,9 @@ def wild_certificate(f: Form, strategy: CertificateStrategy | None = None) -> di
     elif 2 * k > f.degree:
         reasons.append(f"conciseness order {k} exceeds half the degree")
     else:
+        # the (k,k) degenerate route is subsumed: same Hessian test, same bound
         cactus = cactus_lower_vanishing(f, k, strategy.x_vars,
                                         strategy.u_vars, strategy.policy)
-        if cactus is None:
-            cactus = cactus_lower_degenerate(
-                f, k,
-                *(strategy.hessian_pair or (None, None)),
-                policy=strategy.policy)
         if cactus is None:
             reasons.append(f"no certified cactus bound at order {k}: "
                            "neither Hessian route could be certified")

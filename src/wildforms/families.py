@@ -86,8 +86,7 @@ def _build_ikeda(seed: int) -> FamilyResult:
     variables = ("x", "y", "u", "v")
     terms = {(1, 0, 3, 1): 1, (0, 1, 1, 3): 1, (2, 3, 0, 0): 1}
     f = make_form(variables, terms)
-    strategy = CertificateStrategy(x_vars=("x", "y"), u_vars=("u", "v"),
-                                   k=2, hessian_pair=(2, 2))
+    strategy = CertificateStrategy(x_vars=("x", "y"), u_vars=("u", "v"), k=2)
     return FamilyResult("ikeda", {}, f, ("x", "y"), ("u", "v"), strategy)
 
 
@@ -138,9 +137,11 @@ def _build_monomial_spread(n: int, k: int, seed: int) -> FamilyResult:
     f = form_sum(pieces)
     threshold = math.comb(n + 2 + k, k)
     strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=k)
+    # the slice rank binom(n+k,k) beats the threshold k+1 only from n = 2
     notes = [f"the vanishing route certifies cactus rank > {threshold} "
              f"= binom({n + 2 + k},{k}); a doubled threshold of "
-             f"{2 * threshold} is not certified by the implemented routes"]
+             f"{2 * threshold} is not certified by the implemented routes"
+             ] if n >= 2 else []
     strategy.notes = list(notes)
     return FamilyResult("monomial-spread", {"n": n, "k": k}, f,
                         x_vars, u_vars, strategy, notes=notes)

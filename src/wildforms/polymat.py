@@ -6,10 +6,11 @@ single int, 16 bits per variable with the first variable in the top
 field, so multiplying monomials is one integer addition and comparing
 packed keys is lex comparison.  Bareiss elimination (Math. Comp. 22,
 1968) divides each update exactly by the previous pivot, so every
-entry stays in Z[x].  Forward elimination gives the determinant and
-the rank; for a rank-deficient matrix, one fraction-free back
-substitution through the echelon rows gives a polynomial kernel
-vector, with no rational functions in sight.
+entry stays in Z[x].  One forward elimination loop gives the
+determinant (its last pivot, signed), the rank (its pivot count) and,
+for a rank-deficient matrix, a polynomial kernel vector by one
+fraction-free back substitution through its echelon rows, with no
+rational functions in sight.
 """
 
 from __future__ import annotations
@@ -166,76 +167,20 @@ def common_scale(entries) -> int:
     return scale
 
 
-def bareiss_det(rows: list[list[Poly]], guard: int) -> Poly:
-    """Exact determinant of a square polynomial matrix."""
-    n = len(rows)
-    if n == 0:
-        return {0: 1}
-    work = [list(row) for row in rows]
-    sign = 1
-    prev: Poly = {0: 1}
-    for c in range(n - 1):
-        pivot_row = None
-        best = None
-        for i in range(c, n):
-            if work[i][c]:
-                size = len(work[i][c])
-                if best is None or size < best:
-                    best = size
-                    pivot_row = i
-        if pivot_row is None:
-            return {}
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        piv = work[c][c]
-        base = work[c]
-        for i in range(c + 1, n):
-            row = work[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                if f:
-                    t = psub(pmul(piv, row[j]), pmul(f, base[j]))
-                else:
-                    t = pmul(piv, row[j])
-                row[j] = pdivexact(t, prev, guard)
-            row[c] = {}
-        prev = piv
-    d = work[n - 1][n - 1]
-    return d if sign == 1 else pneg(d)
+def _forward(rows: list[list[Poly]], guard: int
+             ) -> tuple[list[int], list[list[Poly]], int]:
+    """Fraction-free forward elimination: pivot columns, echelon rows, swap sign.
 
-
-class JordanResult:
-    """Outcome of fraction-free forward elimination: rank, pivots, echelon rows."""
-
-    __slots__ = ("rank", "pivot_cols", "rows", "ncols")
-
-    def __init__(self, rank: int, pivot_cols: list[int],
-                 rows: list[list[Poly]], ncols: int):
-        self.rank = rank
-        self.pivot_cols = pivot_cols
-        self.rows = rows
-        self.ncols = ncols
-
-
-def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
-    """Fraction-free forward elimination; the rows come back in echelon form.
-
-    As in bareiss_det, each pivot updates only the rows below it and the
-    columns to its right, but a column with no pivot is skipped and the
-    pivot columns are recorded.  The pivots (fewest terms, first row on
-    ties) are those of fraction-free Gauss-Jordan clearing, and
-    kernel_vector returns the kernel vector that clearing gives.  Rank,
-    pivots and witness are thus those of Gauss-Jordan elimination, which
-    is why the function keeps its name and symbolic rank reports keep
-    the method label "fraction-free Gauss-Jordan elimination": tools
-    that read the reports and the traces match on both.
+    Each pivot (fewest terms, first row on ties) updates only the rows
+    below it and the columns to its right, dividing exactly by the
+    previous pivot; a column with no pivot is skipped.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     work = [list(row) for row in rows]
     prev: Poly = {0: 1}
     pivot_cols: list[int] = []
+    sign = 1
     r = 0
     for c in range(n):
         pivot_row = None
@@ -248,7 +193,9 @@ def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
                     pivot_row = i
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         piv = work[r][c]
         base = work[r]
         for i in range(r + 1, m):
@@ -268,7 +215,48 @@ def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
         r += 1
         if r == m:
             break
-    return JordanResult(r, pivot_cols, work[:r], n)
+    return pivot_cols, work[:r], sign
+
+
+def bareiss_det(rows: list[list[Poly]], guard: int) -> Poly:
+    """Exact determinant of a square polynomial matrix: the last pivot, signed."""
+    n = len(rows)
+    if n == 0:
+        return {0: 1}
+    pivot_cols, echelon, sign = _forward(rows, guard)
+    if len(pivot_cols) < n:
+        return {}
+    d = echelon[-1][-1]
+    return d if sign == 1 else pneg(d)
+
+
+class JordanResult:
+    """Outcome of fraction-free forward elimination: rank, pivots, echelon rows."""
+
+    __slots__ = ("rank", "pivot_cols", "rows", "ncols")
+
+    def __init__(self, rank: int, pivot_cols: list[int],
+                 rows: list[list[Poly]], ncols: int):
+        self.rank = rank
+        self.pivot_cols = pivot_cols
+        self.rows = rows
+        self.ncols = ncols
+
+
+def bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
+    """Fraction-free forward elimination; the rows come back in echelon form.
+
+    The pivots of the forward pass it shares with bareiss_det are those
+    of fraction-free Gauss-Jordan clearing, and kernel_vector returns
+    the kernel vector that clearing gives.  Rank, pivots and witness
+    are thus those of Gauss-Jordan elimination, which is why the
+    function keeps its name and symbolic rank reports keep the method
+    label "fraction-free Gauss-Jordan elimination": tools that read the
+    reports and the traces match on both.
+    """
+    pivot_cols, echelon, _ = _forward(rows, guard)
+    return JordanResult(len(pivot_cols), pivot_cols, echelon,
+                        len(rows[0]) if rows else 0)
 
 
 def kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:

@@ -130,6 +130,45 @@ def reference_greedy_independent(rows) -> list[int]:
     return kept
 
 
+def reference_bareiss_det(rows: list[list[Poly]], guard: int) -> Poly:
+    """Exact determinant of a square polynomial matrix."""
+    n = len(rows)
+    if n == 0:
+        return {0: 1}
+    work = [list(row) for row in rows]
+    sign = 1
+    prev: Poly = {0: 1}
+    for c in range(n - 1):
+        pivot_row = None
+        best = None
+        for i in range(c, n):
+            if work[i][c]:
+                size = len(work[i][c])
+                if best is None or size < best:
+                    best = size
+                    pivot_row = i
+        if pivot_row is None:
+            return {}
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            sign = -sign
+        piv = work[c][c]
+        base = work[c]
+        for i in range(c + 1, n):
+            row = work[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                if f:
+                    t = psub(pmul(piv, row[j]), pmul(f, base[j]))
+                else:
+                    t = pmul(piv, row[j])
+                row[j] = pdivexact(t, prev, guard)
+            row[c] = {}
+        prev = piv
+    d = work[n - 1][n - 1]
+    return d if sign == 1 else pneg(d)
+
+
 def reference_bareiss_jordan(rows: list[list[Poly]], guard: int) -> JordanResult:
     """Fraction-free Gauss-Jordan; divisions stay exact above pivots too."""
     m = len(rows)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
 from wildforms import bounds
+from wildforms.apolar import conciseness
 from wildforms.bounds import (
     SCHEMA,
     CertificateStrategy,
@@ -21,7 +23,7 @@ from wildforms.bounds import (
 )
 from wildforms.families import build
 from wildforms.hessian import RankPolicy
-from wildforms.poly import LinearForm, parse, power
+from wildforms.poly import LinearForm, parse, power, render
 from wildforms.powersum import PowerSumDecomposition
 
 from helpers import random_form
@@ -339,7 +341,56 @@ class TestDeterminantWitness:
                             lambda hess, point: hess.nrows - 1)
         determinants = count_calls(monkeypatch, "hessian_determinant")
         assert wild_certificate(form) == expected
-        assert determinants
+        assert len(determinants) == 1
+
+
+SUBSUMPTION_MEMBERS = ["perazzo", "bb-cubic", "ikeda", "power-family(3)",
+                       "exceptional(2,3)", "exceptional(3,5)",
+                       "monomial-spread(1,2)", "monomial-spread(1,3)",
+                       "monomial-spread(1,4)", "monomial-spread(2,2)",
+                       "monomial-spread(3,2)"]
+
+
+def concise_random_forms(seed: int, count: int, **shape) -> list:
+    """Seeded forms of conciseness at least 1, for the cactus routes."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(50 * count):
+        f = random_form(rng, **shape)
+        if f.degree >= 3 and conciseness(f) >= 1:
+            forms.append(f)
+            if len(forms) == count:
+                break
+    assert len(forms) == count
+    return forms
+
+
+class TestDegenerateRouteSubsumed:
+    """At k = conciseness(f), the (k,k) degenerate route adds nothing."""
+
+    def test_vanishing_none_implies_degenerate_none(self):
+        forms = ([build(spec).form for spec in SUBSUMPTION_MEMBERS]
+                 + [FERMAT, dense_quartic()]
+                 + concise_random_forms(811, 6, nvars=3, degree=3, density=1.0)
+                 + concise_random_forms(812, 4, nvars=4, degree=3, density=0.5)
+                 + concise_random_forms(813, 4, nvars=3, degree=5, density=0.4))
+        policy = RankPolicy()
+        missed = above_cap = 0
+        for f in forms:
+            k = conciseness(f)
+            vanishing = cactus_lower_vanishing(f, k, policy=policy)
+            degenerate = cactus_lower_degenerate(f, k, policy=policy)
+            if vanishing is None:
+                missed += 1
+                assert degenerate is None, render(f)
+                above_cap += comb(f.nvars - 1 + k, k) > policy.max_symbolic_dim
+            elif degenerate is not None:
+                evidence = dict(degenerate.evidence)
+                assert evidence.pop("hessian_pair") == [k, k]
+                assert evidence == vanishing.evidence
+                assert degenerate.value == vanishing.value
+        assert missed >= 5
+        assert above_cap >= 1
 
 
 class TestWildCertificate:

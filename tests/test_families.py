@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from wildforms.apolar import maximal_hilbert_through
+from wildforms.bounds import wild_certificate
 from wildforms.families import (
     FORMULA_ONLY,
     build,
@@ -32,7 +35,7 @@ class TestBuilders:
     def test_ikeda(self):
         r = build("ikeda")
         assert r.form == parse("x^2*y^3 + x*u^3*v + y*u*v^3", "xyuv")
-        assert r.strategy.hessian_pair == (2, 2)
+        assert r.strategy.k == 2
 
     def test_power_family_two_is_perazzo(self):
         assert build("power-family(2)").form == build("perazzo").form
@@ -70,6 +73,21 @@ class TestBuilders:
         assert len(slots) == 15
         assert all(a + b == 14 for a, b in slots)
         assert any("doubled threshold of 140" in n for n in r.notes)
+
+    @pytest.mark.parametrize("spec", [
+        "perazzo", "bb-cubic", "ikeda", "power-family(2)", "power-family(3)",
+        "exceptional(2,3)", "exceptional(3,5)",
+        *(f"monomial-spread(1,{k})" for k in range(1, 7)),
+        *(f"monomial-spread(2,{k})" for k in range(1, 5)),
+        "monomial-spread(3,1)", "monomial-spread(3,2)", "monomial-spread(4,1)"])
+    def test_certification_notes_hold(self, spec):
+        r = build(spec)
+        cert = wild_certificate(r.form, r.strategy)
+        for note in r.notes + cert["notes"]:
+            claim = re.search(r"certifies cactus rank > (\d+)", note)
+            if claim:
+                assert cert["cactus"] is not None, note
+                assert cert["cactus"]["value"] == int(claim.group(1)), note
 
     def test_determinism(self):
         a = build("exceptional(3, 5)", seed=1)

@@ -6,10 +6,12 @@ in ``tests/data/frozen_outputs.json``.  The corpus covers both cactus
 routes (slice rank, symbolic determinant, support matching, and dense
 forms whose Hessian determinant is certified nonzero by evaluation),
 rational coefficients, ``hessian`` with k = l and k < l, ``lefschetz``
-with sampled and given (rational) elements, and ``binary-rank``.
+with sampled and given (rational) elements, and ``binary-rank``,
+including two forms whose rank the Sylvester resultant decides.
 
-The digests were written by the program of commit ee53730, from the
-root of its checkout with this file copied in:
+The digests were written by the program of commit ee53730 (the two
+resultant ``binary-rank`` digests by commit 9c7ebc4), from the root of
+its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -36,6 +38,10 @@ DENSE_TERNARY_QUARTIC = ("3*x^4 - 2*x^3*y + x^2*y^2 + 5*x*y^3 - y^4 + x^2*z^2"
 DENSE_QUATERNARY_QUARTIC = ("x^4 + 2*y^4 - 3*z^4 + w^4 + x*y*z*w + x^2*y*z"
                             " - y^2*z*w + 3*x*z^2*w + 2*x^3*w - y^3*z")
 RATIONAL_CUBIC = "1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3 - 2/5*x*z^2"
+BINARY_SEXTIC = ("243*x^6 + 81*x^5*y - 540*x^4*y^2 + 450*x^3*y^3"
+                 " - 165*x^2*y^4 + 29*x*y^5 - 2*y^6")
+BINARY_OCTIC = ("4*x^8 + 68*x^7*y + 469*x^6*y^2 + 1638*x^5*y^3 + 2835*x^4*y^4"
+                " + 1512*x^3*y^5 - 1701*x^2*y^6 - 1458*x*y^7 + 729*y^8")
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -56,6 +62,9 @@ COMMANDS = [
     ("lefschetz", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z", "--slp",
      "--element=-1/3,2,5/4"),
     ("binary-rank", "--poly", "x^5 + 3*x^2*y^3 - 2*x*y^4 + y^5", "--vars", "x,y"),
+    # (x+2y)(3x-y)^5 and (x+3y)^6(2x-y)^2: sampling fails, so the resultant decides
+    ("binary-rank", "--poly", BINARY_SEXTIC, "--vars", "x,y"),
+    ("binary-rank", "--poly", BINARY_OCTIC, "--vars", "x,y"),
 ]
 
 

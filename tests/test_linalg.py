@@ -19,8 +19,8 @@ from wildforms.linalg import (
     sparse_rank,
 )
 
-from helpers import (reference_bareiss_jordan, reference_greedy_independent,
-                     reference_kernel_vector)
+from helpers import (reference_bareiss_det, reference_bareiss_jordan,
+                     reference_greedy_independent, reference_kernel_vector)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -290,6 +290,13 @@ def product_matrix(rng, m, n, inner):
     return rows
 
 
+def hessian_rows(f, k, l):
+    from wildforms.hessian import mixed_hessian
+    hess = mixed_hessian(f, k, l)
+    scale = polymat.common_scale(hess.entries)
+    return [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
+
+
 def assert_matches_reference(rows, guard):
     got = polymat.bareiss_jordan(rows, guard)
     want = reference_bareiss_jordan(rows, guard)
@@ -343,11 +350,96 @@ class TestJordanAgainstReference:
     ])
     def test_degenerate_hessians(self, spec, seed, k, l):
         from wildforms.families import build
-        from wildforms.hessian import mixed_hessian
-        hess = mixed_hessian(build(spec, seed=seed).form, k, l)
-        scale = polymat.common_scale(hess.entries)
-        rows = [[polymat.from_form(e, scale) for e in row]
-                for row in hess.entries]
-        result = assert_matches_reference(
-            rows, polymat.guard_mask(hess.form.nvars))
-        assert result.rank < min(hess.nrows, hess.ncols)
+        f = build(spec, seed=seed).form
+        rows = hessian_rows(f, k, l)
+        result = assert_matches_reference(rows, polymat.guard_mask(f.nvars))
+        assert result.rank < min(len(rows), len(rows[0]))
+
+
+def assert_det_matches_reference(rows, guard):
+    got = polymat.bareiss_det(rows, guard)
+    assert got == reference_bareiss_det(rows, guard)
+    return got
+
+
+class TestDetAgainstReference:
+    """The determinant read off the shared forward pass against the
+    earlier determinant-only Bareiss loop."""
+
+    def test_nonsingular_with_row_swaps(self):
+        rng = random.Random(115)
+        guard = polymat.guard_mask(2)
+        nonzero = swapped = 0
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            rows = product_matrix(rng, n, n, n)
+            # a one-term entry under a longer one makes column 0 swap rows
+            rows[1][0] = {polymat.pack((1, 0)): rng.choice([-3, -1, 2])}
+            det = assert_det_matches_reference(rows, guard)
+            if not det:
+                continue
+            nonzero += 1
+            swapped += len(rows[0][0]) > 1
+            exchanged = [rows[1], rows[0]] + rows[2:]
+            assert assert_det_matches_reference(exchanged, guard) == \
+                polymat.pneg(det)
+        assert nonzero >= 20 and swapped >= 10
+
+    def test_singular(self):
+        rng = random.Random(116)
+        guard = polymat.guard_mask(2)
+        for trial in range(45):
+            n = rng.randint(2, 5)
+            rows = [[random_poly(rng, 2, max_deg=1, terms=2) for _ in range(n)]
+                    for _ in range(n)]
+            if trial % 3 == 0:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = {}
+            elif trial % 3 == 1:
+                i, i2 = rng.sample(range(n), 2)
+                factor = random_poly(rng, 2, max_deg=1, terms=2) or {0: 2}
+                rows[i2] = [polymat.pmul(factor, e) for e in rows[i]]
+            else:
+                rows = product_matrix(rng, n, n, rng.randint(0, n - 1))
+            assert assert_det_matches_reference(rows, guard) == {}
+
+    def test_sizes_zero_and_one(self):
+        guard = polymat.guard_mask(2)
+        assert assert_det_matches_reference([], guard) == {0: 1}
+        for entry in ({}, {0: 7}, {polymat.pack((1, 2)): -3, 0: 1}):
+            assert assert_det_matches_reference([[entry]], guard) == entry
+
+    @pytest.mark.parametrize("spec,k,vanishes", [
+        ("fermat", 1, False),
+        ("perazzo", 1, True),
+        ("ikeda", 1, False),
+        ("ikeda", 2, True),
+    ])
+    def test_hessians(self, spec, k, vanishes):
+        from wildforms.families import build
+        from wildforms.poly import parse
+        f = (parse("x^3 + y^3 + z^3", "xyz") if spec == "fermat"
+             else build(spec).form)
+        det = assert_det_matches_reference(hessian_rows(f, k, k),
+                                           polymat.guard_mask(f.nvars))
+        assert (det == {}) == vanishes
+
+    def test_sylvester_matrices(self, monkeypatch):
+        from wildforms.poly import parse
+        from wildforms.powersum import binary_waring_rank
+        from test_frozen_outputs import BINARY_OCTIC, BINARY_SEXTIC
+        recorded = []
+        original = polymat.bareiss_det
+
+        def record(rows, guard):
+            recorded.append((rows, guard))
+            return original(rows, guard)
+
+        monkeypatch.setattr(polymat, "bareiss_det", record)
+        assert binary_waring_rank(parse(BINARY_SEXTIC, "xy")) == 6
+        assert binary_waring_rank(parse(BINARY_OCTIC, "xy")) == 7
+        monkeypatch.undo()
+        assert [len(rows) for rows, _ in recorded] == [4, 6, 8, 6, 8, 10]
+        for rows, guard in recorded:
+            assert_det_matches_reference(rows, guard)
