@@ -6,13 +6,18 @@ the k-th value of the Hilbert function of the apolar algebra, and its
 left kernel is the degree-k slice of the annihilator.  Slices are built
 from the form's terms, never by enumerating the monomial spaces, and
 each is computed once per form: ``catalecticant`` keeps it on the Form
-object, so it lives exactly as long as the form.  One exact elimination
-per slice gives both its rank and its greedy-first basis rows, which
-``apolar_basis`` reads off the slice; see linalg for the details.
+object, so it lives exactly as long as the form.  A slice links back to
+its form only weakly, so the form and its slices make no reference
+cycle and are freed by reference counting as soon as the form is
+dropped.  Integer coefficients give plain ``int`` cells.  One exact
+elimination per slice gives both its rank and its greedy-first basis
+rows, which ``apolar_basis`` reads off the slice; see linalg for the
+details.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import comb, perm
@@ -52,18 +57,28 @@ class CatalecticantSlice:
     distinct terms never share a cell.  Only the nonzero rows are kept,
     graded-lex descending in ``row_monomials``; ``rows`` index their
     columns into ``columns``, the nonzero columns, graded-lex descending.
-    ``basis_rows`` are the greedy-first independent rows in that order,
-    and the rank is their count.
+    A cell is an ``int`` when its value is an integer and a Fraction
+    otherwise.  ``basis_rows`` are the greedy-first independent rows in
+    that order, and the rank is their count.
+
+    The slice keeps the form's ``variables`` and ``degree`` and holds
+    the form itself only through a weak reference (``form`` is None once
+    the form is gone), so the form's slice cache makes no reference
+    cycle, and a slice still answers every question without its form.
     """
 
     def __init__(self, form: Form, k: int):
         require_analysis_form(form)
         if not 0 <= k <= form.degree:
             raise ValueError(f"slice degree {k} outside 0..{form.degree}")
-        self.form = form
+        self._form = weakref.ref(form)
+        self.variables = form.variables
+        self.degree = form.degree
         self.k = k
-        images: dict[Exponent, dict[Exponent, Fraction]] = {}
+        images: dict[Exponent, dict[Exponent, Fraction | int]] = {}
         for e, c in form.terms.items():
+            if c.denominator == 1:
+                c = c.numerator
             for alpha, factor in _divisors(e, k):
                 beta = tuple(a - b for a, b in zip(e, alpha))
                 images.setdefault(alpha, {})[beta] = c * factor
@@ -72,28 +87,34 @@ class CatalecticantSlice:
         col_index = {beta: j for j, beta in enumerate(self.columns)}
         self.row_monomials: list[Exponent] = sorted(images, reverse=True)
         self._row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
-        self.rows: list[dict[int, Fraction]] = [
+        self.rows: list[dict[int, Fraction | int]] = [
             {col_index[beta]: c for beta, c in images[alpha].items()}
             for alpha in self.row_monomials]
         self.basis_rows = linalg.greedy_independent(self.rows)
         self.rank = len(self.basis_rows)
 
     @property
+    def form(self) -> Form | None:
+        return self._form()
+
+    @property
     def nrows(self) -> int:
-        return comb(self.form.nvars - 1 + self.k, self.k)
+        return comb(len(self.variables) - 1 + self.k, self.k)
 
     @property
     def ncols(self) -> int:
-        d = self.form.degree - self.k
-        return comb(self.form.nvars - 1 + d, d)
+        d = self.degree - self.k
+        return comb(len(self.variables) - 1 + d, d)
 
     def image(self, alpha: Exponent) -> Form | None:
         """alpha applied to the form, read off row alpha; None when zero."""
         i = self._row_index.get(alpha)
         if i is None:
             return None
-        return Form(self.form.variables, self.form.degree - self.k,
-                    {self.columns[j]: c for j, c in self.rows[i].items()})
+        columns = self.columns
+        return Form._trusted(self.variables, self.degree - self.k,
+                             {columns[j]: Fraction(c) if type(c) is int else c
+                              for j, c in self.rows[i].items()})
 
     @cached_property
     def kernel_basis(self) -> list[DiffOp]:
@@ -102,7 +123,7 @@ class CatalecticantSlice:
         Zero rows are kernel elements too, so this is the one place that
         enumerates every degree-k monomial.
         """
-        everything = monomials(self.form.nvars, self.k)
+        everything = monomials(len(self.variables), self.k)
         where = {alpha: i for i, alpha in enumerate(everything)}
         transpose = [[Fraction(0)] * len(everything) for _ in self.columns]
         for alpha, row in zip(self.row_monomials, self.rows):
@@ -111,7 +132,7 @@ class CatalecticantSlice:
         basis = []
         for vector in linalg.nullspace(transpose):
             terms = {everything[i]: c for i, c in enumerate(vector) if c != 0}
-            basis.append(Form(self.form.variables, self.k, terms))
+            basis.append(Form(self.variables, self.k, terms))
         return basis
 
 

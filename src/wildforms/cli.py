@@ -10,6 +10,7 @@ raised under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,7 +28,9 @@ from .powersum import binary_waring_rank
 SCHEMA = "wildforms-cli/1"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser; parse_args keeps no state between calls."""
     shared = argparse.ArgumentParser(add_help=False)
     src = shared.add_argument_group("input")
     src.add_argument("--poly", help="polynomial text, e.g. 'x^2*y + y^3'")

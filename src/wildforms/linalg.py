@@ -7,7 +7,9 @@ matrices are split into connected components of the row/column
 incidence graph and each component is reduced transposed, one line per
 column, so the pivot columns are the greedy-first independent rows;
 catalecticant slices of bi-graded forms are block diagonal under that
-split, which keeps the large cases small.  Kernels and solves use plain
+split, which keeps the large cases small.  Each component is divided
+by the gcd of every row and of every column before elimination, which
+keeps Bareiss' coefficient growth down.  Kernels and solves use plain
 Fraction Gauss-Jordan (``rref``), which is only ever applied to desk
 sized blocks.
 """
@@ -135,19 +137,24 @@ def solve_columns(columns: Sequence[Sequence[Fraction | int]],
     return out
 
 
-def sparse_rank(rows: Sequence[dict[int, Fraction]]) -> int:
+def sparse_rank(rows: Sequence[dict[int, Fraction | int]]) -> int:
     """Rank of a sparse matrix."""
     return len(greedy_independent(rows))
 
 
-def greedy_independent(rows: Sequence[dict[int, Fraction]]) -> list[int]:
+def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
     """Indices of the greedy-first maximal independent subset of rows.
 
     Rows in different incidence components are independent of each
     other, so each component is eliminated on its own, transposed: the
     pivot columns of the echelon form of M^T are the greedy-first
-    independent rows of M.  Each row is scaled to integers by the lcm
-    of its own denominators, which keeps the same rows independent.
+    independent rows of M.  Each row of M is scaled to integers by the
+    lcm of its denominators and divided by the gcd of the result, then
+    each row of M^T by the gcd of its entries.  Both are nonzero
+    scalings, of the columns and of the rows of M^T: the first keeps
+    every dependency among the rows of M, the second keeps the row
+    space of M^T, so the rank and the pivot columns cannot change,
+    while the entries Bareiss starts from get smaller.
     """
     parent: dict[int, int] = {}
 
@@ -179,8 +186,14 @@ def greedy_independent(rows: Sequence[dict[int, Fraction]]) -> list[int]:
         for t, i in enumerate(indices):
             row = rows[i]
             scale = math.lcm(*(v.denominator for v in row.values()))
-            for c, v in row.items():
-                lines[where[c]][t] = v.numerator * (scale // v.denominator)
+            scaled = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            g = math.gcd(*scaled.values()) or 1
+            for c, v in scaled.items():
+                lines[where[c]][t] = v // g
+        for j, line in enumerate(lines):
+            g = math.gcd(*line)
+            if g > 1:
+                lines[j] = [v // g for v in line]
         kept.extend(indices[t] for t in _bareiss_forward(lines))
     return sorted(kept)
 

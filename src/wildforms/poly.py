@@ -37,7 +37,7 @@ class Form:
     ``apolar.catalecticant`` keep the form's slices in ``_slices``.
     """
 
-    __slots__ = ("variables", "degree", "terms", "_slices")
+    __slots__ = ("variables", "degree", "terms", "_slices", "__weakref__")
 
     def __init__(self, variables: Sequence[str], degree: int,
                  terms: Mapping[Exponent, Scalar]):
@@ -66,6 +66,18 @@ class Form:
         self.degree = degree
         self.terms = clean
         self._slices = None
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], degree: int,
+                 terms: dict[Exponent, Fraction]) -> "Form":
+        """A Form over terms already known to be valid: nonzero Fraction
+        coefficients on exponents of the right length and degree."""
+        f = object.__new__(cls)
+        f.variables = variables
+        f.degree = degree
+        f.terms = terms
+        f._slices = None
+        return f
 
     @property
     def nvars(self) -> int:
@@ -292,15 +304,39 @@ class LinearForm:
 
 
 def power(linear: LinearForm, d: int) -> Form:
-    """The d-th power of a linear form, expanded exactly."""
+    """The d-th power of a linear form, by the multinomial theorem.
+
+    (c_1 x_1 + ... + c_n x_n)^d is the sum over |e| = d of
+    d!/(e_1! ... e_n!) * c_1^e_1 ... c_n^e_n * x^e, taken over the
+    variables with c_i != 0 only, so no term cancels.  The coefficients
+    are scaled to integers by the lcm D of their denominators and each
+    result is divided by D^d once.  Terms come out graded-lex
+    descending.
+    """
     if d < 0:
         raise ValueError("negative power")
     if d == 0:
         return constant(linear.variables, 1)
-    out = linear.to_form()
-    for _ in range(d - 1):
-        out = multiply(out, linear.to_form())
-    return out
+    support = [(i, c) for i, c in enumerate(linear.coefficients) if c != 0]
+    lift = math.lcm(*(c.denominator for _, c in support))
+    scaled = [c.numerator * (lift // c.denominator) for _, c in support]
+    # partial terms: (exponents so far, degree left, integer coefficient)
+    partial: list[tuple[Exponent, int, int]] = [((), d, 1)]
+    for j, p in enumerate(scaled):
+        powers = [p ** a for a in range(d + 1)]
+        last = j == len(scaled) - 1   # the last variable takes what is left
+        partial = [(e + (a,), left - a, coefficient * math.comb(left, a) * powers[a])
+                   for e, left, coefficient in partial
+                   for a in range(left, left - 1 if last else -1, -1)]
+    denominator = lift ** d
+    terms: dict[Exponent, Scalar] = {}
+    for e, _, coefficient in partial:
+        exponent = [0] * len(linear.variables)
+        for (i, _), a in zip(support, e):
+            exponent[i] = a
+        terms[tuple(exponent)] = (Fraction(coefficient, denominator)
+                                  if denominator > 1 else coefficient)
+    return Form(linear.variables, d, terms)
 
 
 def check_partition(variables: Sequence[str], x_vars: Sequence[str],

@@ -16,8 +16,9 @@ from fractions import Fraction
 import sympy
 
 from wildforms import linalg
-from wildforms.poly import (Form, LinearForm, apply, form_sum, make_form,
-                            monomial, monomials, multiply, parse, power)
+from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
+                            make_form, monomial, monomials, multiply, parse,
+                            power)
 from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
 from wildforms.powersum import PowerSumDecomposition
 
@@ -98,6 +99,18 @@ def reference_catalecticant(f: Form, k: int):
         rows.append({} if image is None
                     else {where[m]: c for m, c in image.terms.items()})
     return row_monos, col_monos, rows
+
+
+def reference_power(linear: LinearForm, d: int) -> Form:
+    """The d-th power of a linear form, expanded exactly."""
+    if d < 0:
+        raise ValueError("negative power")
+    if d == 0:
+        return constant(linear.variables, 1)
+    out = linear.to_form()
+    for _ in range(d - 1):
+        out = multiply(out, linear.to_form())
+    return out
 
 
 def reference_greedy_independent(rows) -> list[int]:

@@ -279,3 +279,48 @@ class TestSliceMemo:
         del f
         gc.collect()
         assert ref() is None
+
+
+class TestSliceLifetime:
+    """Slices link to their form weakly, so reference counting frees both."""
+
+    TEXT = TestSliceMemo.TEXT
+
+    def test_form_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            f = parse(self.TEXT, "xyz")
+            hilbert(f)
+            assert catalecticant(f, 2).form is f
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_slice_answers_without_its_form(self):
+        f, g = parse(self.TEXT, "xyz"), parse(self.TEXT, "xyz")
+        held, fresh = catalecticant(f, 2), catalecticant(g, 2)
+        del f
+        assert held.form is None
+        assert (held.nrows, held.ncols) == (fresh.nrows, fresh.ncols)
+        for alpha in monomials(3, 2):
+            assert held.image(alpha) == fresh.image(alpha)
+        assert held.kernel_basis == fresh.kernel_basis
+        assert len(held.kernel_basis) == held.nrows - held.rank
+
+    def test_integer_forms_give_int_cells(self):
+        forms = [(parse(self.TEXT, "xyz"), int),
+                 (parse("1/2*x^3*y + 2/3*y^2*z^2 - 5/7*z^4", "xyz"), Fraction),
+                 (build("exceptional(3, 5)").form, int)]
+        for f, cell_type in forms:
+            for k in range(f.degree + 1):
+                s = catalecticant(f, k)
+                assert all(type(c) is cell_type for row in s.rows for c in row.values())
+                row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
+                got = {alpha: {s.columns[j]: c for j, c in row.items()}
+                       for alpha, row in zip(s.row_monomials, s.rows)}
+                want = {alpha: {col_monos[j]: c for j, c in row.items()}
+                        for alpha, row in zip(row_monos, ref_rows) if row}
+                assert got == want

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
+from fractions import Fraction
 
 import pytest
 
 from wildforms import cli
+from wildforms.apolar import CatalecticantSlice
 from wildforms.cli import main
 from wildforms.families import build
 from wildforms.hessian import RankPolicy, hessian_determinant
-from wildforms.poly import parse
+from wildforms.poly import Form, parse
 
 SHEARED = ("x^3 + 2*x^2*u + x*y^2 + x*y*v + x*u^2 + y^2*z + y^2*u "
            "+ 2*y*z*v + y*u*v + z*v^2")
@@ -338,3 +341,54 @@ class TestBadInput:
             main(["hilbert", "--family", "ikeda", "--frobnicate"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+class TestOneProcess:
+    """Many jobs in one process, as a benchmark or a server runs them."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_flag_leaks_into_the_next_call(self, capsys, monkeypatch):
+        seen = []
+        resolve = cli._resolve_input
+
+        def spy(args):
+            seen.append(dict(vars(args)))
+            return resolve(args)
+        monkeypatch.setattr(cli, "_resolve_input", spy)
+        analyze = ["analyze", "--family", "ikeda", "--json", "--deterministic"]
+        first = run(capsys, *analyze)
+        strict = run(capsys, "hessian", "--poly", SHEARED, "--vars", "x,y,z,u,v",
+                     "--k", "1", "--max-symbolic-dim", "2", "--strict",
+                     "--seed", "5", "--rank-trials", "3")
+        third = run(capsys, *analyze)
+        assert first[0] == 0 and strict[0] == 3
+        assert third == first
+        assert seen[0] == seen[2]
+        assert seen[2]["strict"] is False
+        assert (seen[2]["seed"], seen[2]["rank_trials"]) == (0, 8)
+        assert (seen[2]["max_symbolic_dim"], seen[2]["poly"]) == (12, None)
+        assert "k" not in seen[2]
+
+
+def test_analyze_leaves_no_slices_to_the_cycle_collector(capsys):
+    """Forms, slices and their Fractions are freed by reference counting:
+    with the collector off during the job, none of them is found in a
+    cycle afterwards."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(["analyze", "--family", "monomial-spread(2,3)", "--json",
+                     "--deterministic"])
+        capsys.readouterr()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage
+                  if isinstance(obj, (CatalecticantSlice, Form, Fraction))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert code == 0
+    assert leaked == []

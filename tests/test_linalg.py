@@ -136,6 +136,30 @@ class TestSparse:
             rows = [{c: v for c, v in row.items() if v} for row in rows]
             assert greedy_independent(rows) == reference_greedy_independent(rows)
             assert sparse_rank(rows) == len(reference_greedy_independent(rows))
+        # large common factors per row and per column, and int cells
+        # mixed with Fraction cells, which the gcd scaling divides out
+        for _ in range(40):
+            ncols = rng.randint(1, 6)
+            col_factor = [rng.choice([1, 6, 35, 2 ** 40, 3 ** 25 * 7]) for _ in range(ncols)]
+            rows = []
+            for _ in range(rng.randint(1, 7)):
+                row_factor = rng.choice([1, 10 ** 12, Fraction(2 ** 30, 3 ** 9), Fraction(1, 4)])
+                row = {}
+                for c in range(ncols):
+                    if rng.random() < 0.6:
+                        row[c] = rng.randint(-3, 3) * row_factor * col_factor[c]
+                rows.append(row)
+            for _ in range(rng.randint(0, 2)):
+                source = rng.choice(rows)
+                factor = rng.choice([2 ** 35, -6, Fraction(5, 12)])
+                rows.append({c: factor * v for c, v in source.items()})
+            rng.shuffle(rows)
+            rows = [{c: Fraction(v) for c, v in row.items() if v} for row in rows]
+            want = reference_greedy_independent(rows)
+            mixed = [{c: (v.numerator if v.denominator == 1 and rng.random() < 0.5 else v)
+                      for c, v in row.items()} for row in rows]
+            assert greedy_independent(mixed) == want
+            assert sparse_rank(mixed) == len(want)
 
     def test_matching_bounds_rank(self):
         rng = random.Random(107)

@@ -24,7 +24,7 @@ from wildforms.poly import (
     scale,
 )
 
-from helpers import random_form, random_linear
+from helpers import random_form, random_linear, reference_power
 
 
 class TestParseRender:
@@ -186,6 +186,26 @@ class TestLinearForm:
     def test_power_matches_repeated_multiply(self):
         lin = LinearForm("xy", (1, 2))
         assert power(lin, 3) == parse("x^3 + 6*x^2*y + 12*x*y^2 + 8*y^3", "xy")
+
+    def test_power_matches_reference(self):
+        """Multinomial expansion against repeated multiplication: same
+        terms in the same order, on seeded linear forms in 1-6 variables
+        with zero, negative and rational coefficients, d = 0..10."""
+        rng = random.Random(211)
+        pool = [0, 0, 1, -1, 2, -3, 7, Fraction(2, 3), Fraction(-5, 4),
+                Fraction(1, 6), Fraction(-9, 2)]
+        for nvars in range(1, 7):
+            variables = "abcdef"[:nvars]
+            for _ in range(3):
+                coeffs = [rng.choice(pool) for _ in variables]
+                if not any(coeffs):
+                    coeffs[rng.randrange(nvars)] = rng.choice(pool[2:])
+                lin = LinearForm(variables, coeffs)
+                for d in range(11):
+                    got, want = power(lin, d), reference_power(lin, d)
+                    assert got == want, (coeffs, d)
+                    assert list(got.terms) == list(want.terms), (coeffs, d)
+                    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 class TestBigrade:
