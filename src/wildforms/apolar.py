@@ -125,7 +125,7 @@ class CatalecticantSlice:
         """
         everything = monomials(len(self.variables), self.k)
         where = {alpha: i for i, alpha in enumerate(everything)}
-        transpose = [[Fraction(0)] * len(everything) for _ in self.columns]
+        transpose = [[0] * len(everything) for _ in self.columns]
         for alpha, row in zip(self.row_monomials, self.rows):
             for j, c in row.items():
                 transpose[j][where[alpha]] = c

@@ -9,9 +9,10 @@ column, so the pivot columns are the greedy-first independent rows;
 catalecticant slices of bi-graded forms are block diagonal under that
 split, which keeps the large cases small.  Each component is divided
 by the gcd of every row and of every column before elimination, which
-keeps Bareiss' coefficient growth down.  Kernels and solves use plain
-Fraction Gauss-Jordan (``rref``), which is only ever applied to desk
-sized blocks.
+keeps Bareiss' coefficient growth down.  Kernels and solves use
+``rref``, fraction-free Gauss-Jordan on the same integer rows with a
+gcd division per updated row; only its final pivot division makes
+Fractions.
 """
 
 from __future__ import annotations
@@ -68,8 +69,14 @@ def rank(matrix: Matrix) -> int:
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    """Reduced row echelon form and its pivot columns.
+
+    Fraction-free Gauss-Jordan on the rows scaled to integers: each
+    updated row is divided by the gcd of its entries, and each pivot
+    row by its pivot once at the end.  The reduced echelon form is
+    unique, so this is the one Fraction elimination would give.
+    """
+    rows = [_int_row(row) for row in matrix]
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -83,19 +90,23 @@ def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        rows[r] = [v / piv for v in rows[r]]
         base = rows[r]
+        piv = base[c]
         for i in range(m):
-            if i == r or not rows[i][c]:
-                continue
             f = rows[i][c]
-            rows[i] = [v - f * b for v, b in zip(rows[i], base)]
+            if i == r or not f:
+                continue
+            row = [piv * v - f * b for v, b in zip(rows[i], base)]
+            g = math.gcd(*row)
+            rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    reduced = [[Fraction(v, rows[i][c]) for v in rows[i]]
+               for i, c in enumerate(pivots)]
+    reduced += [[Fraction(0)] * n for _ in range(r, m)]
+    return reduced, pivots
 
 
 def nullspace(matrix: Matrix) -> list[list[Fraction]]:

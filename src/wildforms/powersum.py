@@ -10,16 +10,19 @@ factorization_check verifies entry by entry.
 
 Binary Waring ranks follow the annihilator scan: the rank is the least
 r whose kernel slice contains a squarefree operator.  Squarefreeness of
-one binary form is an exact gcd test on a dehomogenization with degree
-bookkeeping for the root at infinity; whether a whole kernel slice
-contains any squarefree member is decided exactly through the
-resultant of the partials of a symbolic member, with fast sampled
-shortcuts tried first.
+one binary form is an exact gcd test on an integer dehomogenization,
+by a primitive pseudo-remainder sequence, with degree bookkeeping for
+the root at infinity.  Whether a whole kernel slice contains any
+squarefree member is decided exactly through the resultant of the
+partials of a symbolic member, taken as the determinant of their
+Bezout matrix (half the size of the Sylvester matrix), with fast
+sampled integer combinations tried first.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product as iter_product
@@ -164,40 +167,61 @@ def hessian_nonvanishing(dec: PowerSumDecomposition, k: int) -> bool:
     return w.rank() == dec.length
 
 
-def _dehomogenized(f: Form) -> list[Fraction]:
-    """Coefficients of f(t, 1) by ascending power of t."""
-    out = [Fraction(0)] * (f.degree + 1)
-    for (a, _), c in f.terms.items():
-        out[a] = c
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by b, deg a >= deg b.
+
+    Both are trimmed ascending coefficient lists; neither is modified.
+    """
+    lead = b[-1]
+    db = len(b) - 1
+    while len(a) > db:
+        q = a[-1]
+        shift = len(a) - 1 - db
+        a = [lead * v for v in a]
+        for i, v in enumerate(b):
+            a[shift + i] -= q * v
+        _trim(a)
+    g = math.gcd(*a)
+    return [v // g for v in a] if g > 1 else a
+
+
+def _squarefree_coefficients(p: list[int], degree: int) -> bool:
+    """Whether the binary form with x-ascending coefficients p is squarefree.
+
+    p lists f(t, 1) by ascending power of t, with f of degree
+    ``degree``; a degree drop of two or more is a double root at
+    infinity.  The finite roots are checked by the primitive
+    pseudo-remainder sequence of p and p', which has the degrees of
+    the Euclidean one over Q.
+    """
+    p = _trim(list(p))
+    dp = len(p) - 1
+    if degree - dp > 1:
+        return False  # root at infinity with multiplicity >= 2
+    if dp < 1:
+        return True
+    a, b = p, [i * p[i] for i in range(1, dp + 1)]
+    while b:
+        a, b = b, _primitive_prem(a, b)
+    return len(a) == 1
+
+
+def _integer_coefficients(forms: list[Form]) -> list[list[int]]:
+    """f(t, 1) coefficient lists of binary forms, times one common lcm."""
+    common = math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
+    out = []
+    for f in forms:
+        p = [0] * (f.degree + 1)
+        for (a, _), c in f.terms.items():
+            p[a] = c.numerator * (common // c.denominator)
+        out.append(p)
     return out
-
-
-def _poly_degree(coeffs: list[Fraction]) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return -1
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    while True:
-        da = _poly_degree(a)
-        if da < db:
-            return a[:max(da + 1, 0)]
-        q = a[da] / lead
-        shift = da - db
-        for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a[da] = Fraction(0)
-
-
-def _gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    while _poly_degree(b) >= 0:
-        a, b = b, _poly_mod(a, b)
-    return _poly_degree(a)
 
 
 def is_squarefree_binary(f: Form) -> bool:
@@ -205,36 +229,37 @@ def is_squarefree_binary(f: Form) -> bool:
     require_analysis_form(f)
     if f.nvars != 2:
         raise ValueError("squarefree test is for binary forms")
-    p = _dehomogenized(f)
-    dp = _poly_degree(p)
-    if f.degree - dp > 1:
-        return False  # root at infinity with multiplicity >= 2
-    if dp < 1:
-        return True
-    derivative = [i * p[i] for i in range(1, dp + 1)]
-    return _gcd_degree(p, derivative) == 0
+    return _squarefree_coefficients(_integer_coefficients([f])[0], f.degree)
 
 
-def _sylvester_resultant(a: list[polymat.Poly], b: list[polymat.Poly],
-                         guard: int) -> polymat.Poly:
-    """Resultant of two binary forms given by descending coefficient lists."""
-    m = len(a) - 1
-    n = len(b) - 1
-    size = m + n
-    rows: list[list[polymat.Poly]] = []
-    for i in range(n):
-        rows.append([{} for _ in range(i)] + list(a)
-                    + [{} for _ in range(size - i - m - 1)])
-    for i in range(m):
-        rows.append([{} for _ in range(i)] + list(b)
-                    + [{} for _ in range(size - i - n - 1)])
-    return polymat.bareiss_det(rows, guard)
+def _resultant(a: list[polymat.Poly], b: list[polymat.Poly],
+               guard: int) -> polymat.Poly:
+    """Resultant of two binary forms given by descending coefficient lists.
+
+    Both forms have formal degree n.  The resultant is
+    (-1)^(n(n-1)/2) times the determinant of the n x n Bezout matrix
+    of (p(x)q(y) - p(y)q(x))/(x - y), indexed by ascending powers,
+    half the size of the Sylvester matrix.
+    """
+    n = len(a) - 1
+    p, q = a[::-1], b[::-1]
+    bezout: list[list[polymat.Poly]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            c = polymat.psub(polymat.pmul(p[i], q[j]), polymat.pmul(p[j], q[i]))
+            if c:
+                for s in range(j - i):
+                    row = bezout[i + s]
+                    row[j - 1 - s] = polymat.psub(row[j - 1 - s], c)
+    det = polymat.bareiss_det(bezout, guard)
+    return polymat.pneg(det) if n * (n - 1) // 2 % 2 else det
 
 
 def _space_has_squarefree(basis: list[Form]) -> bool:
     """Whether a linear space of binary forms has a squarefree member.
 
-    Samples cheap candidates first; the exact fallback tests whether
+    Samples cheap candidates first, as integer combinations of the
+    members scaled by one common lcm; the exact fallback tests whether
     the resultant of the partials of a symbolic member vanishes
     identically, which settles existence over the complex numbers.
     """
@@ -244,27 +269,25 @@ def _space_has_squarefree(basis: list[Form]) -> bool:
     dim = len(basis)
     if dim == 1:
         return False
-    variables = basis[0].variables
     degree = basis[0].degree
+    columns = list(zip(*_integer_coefficients(basis)))
+
+    def squarefree_member(combo) -> bool:
+        candidate = [sum(map(operator.mul, combo, col)) for col in columns]
+        return any(candidate) and _squarefree_coefficients(candidate, degree)
+
     if dim <= 3:
-        for combo in iter_product(range(-2, 3), repeat=dim):
-            candidate = form_sum(scale(g, c) for g, c in zip(basis, combo))
-            if candidate is not None and is_squarefree_binary(candidate):
-                return True
+        if any(map(squarefree_member, iter_product(range(-2, 3), repeat=dim))):
+            return True
     else:
         rng = random.Random(0)
         for _ in range(32):
-            combo = [rng.randint(-9, 9) for _ in range(dim)]
-            candidate = form_sum(scale(g, c) for g, c in zip(basis, combo))
-            if candidate is not None and is_squarefree_binary(candidate):
+            if squarefree_member([rng.randint(-9, 9) for _ in range(dim)]):
                 return True
     if degree == 1:
         return True  # nonzero linear forms are squarefree
     # exact decision: member F(t) = sum t_i g_i, test Res(F_x, F_y) == 0
-    scaled = []
-    for g in basis:
-        lcm = math.lcm(*(c.denominator for c in g.terms.values()))
-        scaled.append({e: int(c * lcm) for e, c in g.terms.items()})
+    scaled = [_integer_coefficients([g])[0] for g in basis]
     guard = polymat.guard_mask(dim)
     fx: list[polymat.Poly] = []
     fy: list[polymat.Poly] = []
@@ -274,15 +297,15 @@ def _space_has_squarefree(basis: list[Form]) -> bool:
         cy: polymat.Poly = {}
         for i, g in enumerate(scaled):
             key = polymat.pack(tuple(1 if j == i else 0 for j in range(dim)))
-            vx = (a + 1) * g.get((a + 1, degree - a - 1), 0)
-            vy = (degree - a) * g.get((a, degree - a), 0)
+            vx = (a + 1) * g[a + 1]
+            vy = (degree - a) * g[a]
             if vx:
                 cx[key] = cx.get(key, 0) + vx
             if vy:
                 cy[key] = cy.get(key, 0) + vy
         fx.append(cx)
         fy.append(cy)
-    return bool(_sylvester_resultant(fx, fy, guard))
+    return bool(_resultant(fx, fy, guard))
 
 
 def binary_waring_rank(f: Form) -> int:

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import sympy
 
-from wildforms import linalg
+from wildforms import linalg, polymat
+from wildforms.apolar import require_analysis_form
 from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
                             make_form, monomial, monomials, multiply, parse,
                             power)
@@ -265,6 +266,104 @@ def reference_evaluated_rank(hess, point) -> int:
     matrix = [[Fraction(0) if e is None else e.evaluate(point) for e in row]
               for row in hess.entries]
     return linalg.rank(matrix)
+
+
+def reference_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and its pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        pivot_row = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        base = rows[r]
+        for i in range(m):
+            if i == r or not rows[i][c]:
+                continue
+            f = rows[i][c]
+            rows[i] = [v - f * b for v, b in zip(rows[i], base)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def reference_sylvester_resultant(a: list[Poly], b: list[Poly],
+                                  guard: int) -> Poly:
+    """Resultant of two binary forms given by descending coefficient lists."""
+    m = len(a) - 1
+    n = len(b) - 1
+    size = m + n
+    rows: list[list[Poly]] = []
+    for i in range(n):
+        rows.append([{} for _ in range(i)] + list(a)
+                    + [{} for _ in range(size - i - m - 1)])
+    for i in range(m):
+        rows.append([{} for _ in range(i)] + list(b)
+                    + [{} for _ in range(size - i - n - 1)])
+    return polymat.bareiss_det(rows, guard)
+
+
+def _dehomogenized(f: Form) -> list[Fraction]:
+    """Coefficients of f(t, 1) by ascending power of t."""
+    out = [Fraction(0)] * (f.degree + 1)
+    for (a, _), c in f.terms.items():
+        out[a] = c
+    return out
+
+
+def _poly_degree(coeffs: list[Fraction]) -> int:
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i]:
+            return i
+    return -1
+
+
+def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    db = _poly_degree(b)
+    lead = b[db]
+    while True:
+        da = _poly_degree(a)
+        if da < db:
+            return a[:max(da + 1, 0)]
+        q = a[da] / lead
+        shift = da - db
+        for i in range(db + 1):
+            a[shift + i] -= q * b[i]
+        a[da] = Fraction(0)
+
+
+def _gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+    while _poly_degree(b) >= 0:
+        a, b = b, _poly_mod(a, b)
+    return _poly_degree(a)
+
+
+def reference_is_squarefree_binary(f: Form) -> bool:
+    """No repeated root on the projective line, decided exactly."""
+    require_analysis_form(f)
+    if f.nvars != 2:
+        raise ValueError("squarefree test is for binary forms")
+    p = _dehomogenized(f)
+    dp = _poly_degree(p)
+    if f.degree - dp > 1:
+        return False  # root at infinity with multiplicity >= 2
+    if dp < 1:
+        return True
+    derivative = [i * p[i] for i in range(1, dp + 1)]
+    return _gcd_degree(p, derivative) == 0
 
 
 def to_sympy(f: Form):

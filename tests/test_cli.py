@@ -230,6 +230,21 @@ class TestBinaryRank:
                            "--vars", "x,y,z")
         assert code == 2
 
+    @pytest.mark.parametrize("error", [
+        RuntimeError("no squarefree annihilator found through the degree"),
+        ArithmeticError("inexact polynomial division"),
+        ZeroDivisionError("polynomial division by zero"),
+    ])
+    def test_internal_error_exits_one(self, capsys, monkeypatch, error):
+        def fail(f):
+            raise error
+
+        monkeypatch.setattr(cli, "binary_waring_rank", fail)
+        code, out, err = run(capsys, "binary-rank", "--poly", "x^2*y^3",
+                             "--vars", "x,y")
+        assert (code, out) == (1, "")
+        assert err == f"internal error: {error}\n"
+
 
 class TestFamilyCommand:
     def test_list_text(self, capsys):

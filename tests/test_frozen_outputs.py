@@ -7,11 +7,13 @@ routes (slice rank, symbolic determinant, support matching, and dense
 forms whose Hessian determinant is certified nonzero by evaluation),
 rational coefficients, ``hessian`` with k = l and k < l, ``lefschetz``
 with sampled and given (rational) elements, and ``binary-rank``,
-including two forms whose rank the Sylvester resultant decides.
+including three forms whose rank the resultant of the partials of a
+symbolic kernel member decides, up to four parameters.
 
-The digests were written by the program of commit ee53730 (the two
-resultant ``binary-rank`` digests by commit 9c7ebc4), from the root of
-its checkout with this file copied in:
+The digests were written by the program of commit ee53730 (the first
+two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
+commit bd86157, which took the resultant from the Sylvester matrix),
+from the root of its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -42,6 +44,8 @@ BINARY_SEXTIC = ("243*x^6 + 81*x^5*y - 540*x^4*y^2 + 450*x^3*y^3"
                  " - 165*x^2*y^4 + 29*x*y^5 - 2*y^6")
 BINARY_OCTIC = ("4*x^8 + 68*x^7*y + 469*x^6*y^2 + 1638*x^5*y^3 + 2835*x^4*y^4"
                 " + 1512*x^3*y^5 - 1701*x^2*y^6 - 1458*x*y^7 + 729*y^8")
+BINARY_OCTIC_RANK_7 = ("64*x^8 - 64*x^7*y - 80*x^6*y^2 + 128*x^5*y^3 - 20*x^4*y^4"
+                       " - 52*x^3*y^5 + 37*x^2*y^6 - 10*x*y^7 + y^8")
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -65,6 +69,8 @@ COMMANDS = [
     # (x+2y)(3x-y)^5 and (x+3y)^6(2x-y)^2: sampling fails, so the resultant decides
     ("binary-rank", "--poly", BINARY_SEXTIC, "--vars", "x,y"),
     ("binary-rank", "--poly", BINARY_OCTIC, "--vars", "x,y"),
+    # (x+y)^2(2x-y)^6: its resultants reach four parameters
+    ("binary-rank", "--poly", BINARY_OCTIC_RANK_7, "--vars", "x,y"),
 ]
 
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildforms import polymat
 from wildforms.linalg import (
@@ -20,7 +22,8 @@ from wildforms.linalg import (
 )
 
 from helpers import (reference_bareiss_det, reference_bareiss_jordan,
-                     reference_greedy_independent, reference_kernel_vector)
+                     reference_greedy_independent, reference_kernel_vector,
+                     reference_rref)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -464,6 +467,57 @@ class TestDetAgainstReference:
         assert binary_waring_rank(parse(BINARY_SEXTIC, "xy")) == 6
         assert binary_waring_rank(parse(BINARY_OCTIC, "xy")) == 7
         monkeypatch.undo()
-        assert [len(rows) for rows, _ in recorded] == [4, 6, 8, 6, 8, 10]
+        # half-size Bezout matrices of the two partials, n = 2..5
+        assert [len(rows) for rows, _ in recorded] == [2, 3, 4, 3, 4, 5]
         for rows, guard in recorded:
             assert_det_matches_reference(rows, guard)
+
+
+def _rational_matrix(rng, m, n, density=0.7):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+             if rng.random() < density else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
+
+
+def _assert_rref_matches_reference(a):
+    before = [list(row) for row in a]
+    reduced, pivots = rref(a)
+    assert (reduced, pivots) == reference_rref(a)
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert a == before
+
+
+class TestRrefAgainstReference:
+    def test_seeded_shapes(self):
+        rng = random.Random(937)
+        for _ in range(150):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            a = _rational_matrix(rng, m, n, density=rng.choice([0.3, 0.7, 1.0]))
+            if rng.random() < 0.3:  # rank deficient: a row combination
+                i, j = rng.randrange(m), rng.randrange(m)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                a.append([u + c * v for u, v in zip(a[i], a[j])])
+            if rng.random() < 0.2:
+                a.insert(rng.randrange(len(a) + 1), [Fraction(0)] * n)
+            if rng.random() < 0.3:  # integer and mixed cells
+                a = [[int(v) if v.denominator == 1 else v for v in row] for row in a]
+            _assert_rref_matches_reference(a)
+
+    def test_tall_wide_and_degenerate(self):
+        rng = random.Random(941)
+        tall = _rational_matrix(rng, 9, 3)
+        wide = _rational_matrix(rng, 3, 9)
+        low_rank = [[Fraction(u * v, 7) for v in range(1, 6)] for u in range(-2, 4)]
+        for a in (tall, wide, low_rank, [[0, 0, 0], [0, 0, 0]], [[5]],
+                  [[Fraction(-2, 3)]], [[]], []):
+            _assert_rref_matches_reference(a)
+        assert rref([]) == ([], [])
+        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+        assert rref(low_rank)[1] == [0]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=10),
+                 min_size=n, max_size=n), min_size=1, max_size=5)))
+    def test_property_small_rational(self, a):
+        _assert_rref_matches_reference(a)

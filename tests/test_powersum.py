@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wildforms import polymat, powersum
+from wildforms.apolar import catalecticant
 from wildforms.hessian import hessian_determinant
-from wildforms.poly import Form, LinearForm, parse, power, scale
+from wildforms.poly import Form, LinearForm, form_sum, multiply, parse, power, scale
+from wildforms.polymat import Poly
 from wildforms.powersum import (
     PowerSumDecomposition,
     VeroneseMatrix,
@@ -20,7 +27,9 @@ from wildforms.powersum import (
     veronese_matrix,
 )
 
-from helpers import oracle_binary_rank, random_decomposition, random_form
+from helpers import (oracle_binary_rank, random_decomposition, random_form,
+                     random_linear, reference_is_squarefree_binary,
+                     reference_sylvester_resultant)
 
 
 def fermat_cubic_decomposition():
@@ -211,3 +220,231 @@ class TestBinaryRank:
         # the degree-5 form with a length-1 kernel slice held by a cube
         f = parse("x^3*y^2", "xy")
         assert binary_waring_rank(f) == 4
+
+
+def _random_poly(rng: random.Random, nparams: int, degree: int = 1) -> Poly:
+    """Seeded polynomial in nparams parameters, of degree at most degree."""
+    out: Poly = {}
+    for _ in range(rng.randint(0, 4)):
+        exponent = [0] * nparams
+        for _ in range(rng.randint(0, degree)):
+            exponent[rng.randrange(nparams)] += 1
+        key = polymat.pack(exponent)
+        out[key] = out.get(key, 0) + rng.randint(-5, 5)
+    return {k: v for k, v in out.items() if v}
+
+
+def _times_linear(u: list[Poly], root: int) -> list[Poly]:
+    """Descending coefficients of (x - root*y) times the form u."""
+    shifted = [{}] + u
+    padded = u + [{}]
+    return [polymat.psub(p, {k: root * v for k, v in s.items()})
+            for p, s in zip(padded, shifted)]
+
+
+class TestResultantAgainstSylvester:
+    """The Bezout resultant equals the Sylvester determinant exactly."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random(907)
+        zero_leads = nonzero = 0
+        for n in range(1, 8):
+            for nparams in range(1, 5):
+                if n * nparams > 16:
+                    continue
+                guard = polymat.guard_mask(nparams)
+                degree = 2 if n <= 3 else 1
+                for _ in range(4):
+                    a = [_random_poly(rng, nparams, degree) for _ in range(n + 1)]
+                    b = [_random_poly(rng, nparams, degree) for _ in range(n + 1)]
+                    if rng.random() < 0.25:
+                        a[0] = {}
+                    if rng.random() < 0.25:
+                        b[0] = {}
+                    zero_leads += not a[0] or not b[0]
+                    res = powersum._resultant(a, b, guard)
+                    assert res == reference_sylvester_resultant(a, b, guard)
+                    nonzero += bool(res)
+        assert zero_leads >= 10 and nonzero >= 40
+
+    def test_identically_zero(self):
+        rng = random.Random(911)
+        for n in range(1, 8):
+            nparams = rng.randint(1, 3)
+            guard = polymat.guard_mask(nparams)
+            root = rng.randint(-3, 3)
+            a = _times_linear([_random_poly(rng, nparams) for _ in range(n)], root)
+            b = _times_linear([_random_poly(rng, nparams) for _ in range(n)], root)
+            assert powersum._resultant(a, b, guard) == {}
+            assert reference_sylvester_resultant(a, b, guard) == {}
+            assert powersum._resultant(a, a, guard) == {}
+
+    def test_sign_on_constants(self):
+        # Res(x^n, y^n) = 1 and Res(y^n, x^n) = (-1)^n for formal degree n
+        for n in range(1, 8):
+            xn = [{0: 1}] + [{} for _ in range(n)]
+            yn = [{} for _ in range(n)] + [{0: 1}]
+            assert powersum._resultant(xn, yn, 0) == {0: 1}
+            assert powersum._resultant(yn, xn, 0) == {0: (-1) ** n}
+            assert reference_sylvester_resultant(yn, xn, 0) == {0: (-1) ** n}
+
+    def test_frozen_binary_pairs(self, monkeypatch):
+        from test_frozen_outputs import BINARY_OCTIC, BINARY_SEXTIC
+        pairs = []
+        original = powersum._resultant
+
+        def record(a, b, guard):
+            pairs.append((a, b, guard))
+            return original(a, b, guard)
+
+        monkeypatch.setattr(powersum, "_resultant", record)
+        assert binary_waring_rank(parse(BINARY_SEXTIC, "xy")) == 6
+        assert binary_waring_rank(parse(BINARY_OCTIC, "xy")) == 7
+        monkeypatch.undo()
+        assert [len(a) - 1 for a, _, _ in pairs] == [2, 3, 4, 3, 4, 5]
+        for a, b, guard in pairs:
+            assert (powersum._resultant(a, b, guard)
+                    == reference_sylvester_resultant(a, b, guard))
+
+
+def _repeated_factor_form(rng: random.Random) -> Form:
+    """Seeded product of linear powers times a rational scalar."""
+    f = None
+    for _ in range(rng.randint(1, 4)):
+        factor = power(random_linear(rng, "xy", (-3, 3)), rng.choice([1, 1, 2, 3]))
+        f = factor if f is None else multiply(f, factor)
+    return scale(f, Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))
+
+
+def _rational_form(coefficients: list[Fraction]) -> Form | None:
+    """The binary form with x-descending coefficients, None when zero."""
+    d = len(coefficients) - 1
+    terms = {(d - i, i): c for i, c in enumerate(coefficients) if c}
+    return Form("xy", d, terms) if terms else None
+
+
+class TestSquarefreeAgainstReference:
+    def test_seeded_corpus(self):
+        rng = random.Random(919)
+        repeated = 0
+        for _ in range(400):
+            if rng.random() < 0.6:
+                f = _repeated_factor_form(rng)
+            else:
+                f = _rational_form([Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                                    for _ in range(rng.randint(2, 8))])
+                if f is None:
+                    continue
+            expected = reference_is_squarefree_binary(f)
+            repeated += not expected
+            assert is_squarefree_binary(f) == expected, f
+        assert repeated >= 100
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(factors=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                      st.integers(1, 3))
+                            .filter(lambda t: t[0] or t[1]), min_size=1, max_size=4),
+           scalar=st.fractions(min_value=-5, max_value=5, max_denominator=9)
+           .filter(bool))
+    def test_products_with_repeated_factors(self, factors, scalar):
+        f = None
+        for a, b, e in factors:
+            factor = power(LinearForm("xy", (a, b)), e)
+            f = factor if f is None else multiply(f, factor)
+        f = scale(f, scalar)
+        assert is_squarefree_binary(f) == reference_is_squarefree_binary(f)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                    min_size=2, max_size=9))
+    def test_rational_coefficients(self, coefficients):
+        f = _rational_form(coefficients)
+        assume(f is not None)
+        assert is_squarefree_binary(f) == reference_is_squarefree_binary(f)
+
+
+def _reference_tried(basis: list[Form]) -> list[list[Fraction]]:
+    """The coefficient lists the sampled shortcuts test, in order.
+
+    Members first, each as itself; then the candidates of the integer
+    grid (dimension 2 or 3) or of 32 seeded draws, combined as Forms,
+    up to the first squarefree one.
+    """
+    def coefficients(f):
+        out = [Fraction(0)] * (f.degree + 1)
+        for (a, _), c in f.terms.items():
+            out[a] = c
+        return out
+
+    tried = []
+    for g in basis:
+        tried.append(coefficients(g))
+        if reference_is_squarefree_binary(g):
+            return tried
+    dim = len(basis)
+    if dim == 1:
+        return tried
+    if dim <= 3:
+        combos = list(iter_product(range(-2, 3), repeat=dim))
+    else:
+        rng = random.Random(0)
+        combos = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(32)]
+    for combo in combos:
+        candidate = form_sum(scale(g, c) for g, c in zip(basis, combo))
+        if candidate is None:
+            continue
+        tried.append(coefficients(candidate))
+        if reference_is_squarefree_binary(candidate):
+            break
+    return tried
+
+
+def _lcm_of_denominators(forms: list[Form]) -> int:
+    return math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
+
+
+class TestSampledCandidates:
+    """The shortcuts try the reference's candidates, in the same order."""
+
+    def _bases(self):
+        rng = random.Random(929)
+        bases = []
+        for _ in range(30):
+            l1, l2 = (random_linear(rng, "xy", (-3, 3)) for _ in range(2))
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            f = scale(multiply(power(l1, a), power(l2, b)),
+                      Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+            for r in range(1, f.degree + 1):
+                kernel = catalecticant(f, r).kernel_basis
+                if len(kernel) >= 2:
+                    bases.append(kernel)
+        for _ in range(30):
+            dim, degree = rng.randint(2, 5), rng.randint(2, 6)
+            bases.append([scale(multiply(power(random_linear(rng, "xy", (-3, 3)), 2),
+                                         random_form(rng, nvars=2, degree=degree - 2)
+                                         if degree > 2 else parse("1", "xy")),
+                                Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                          for _ in range(dim)])
+        return bases
+
+    def test_same_candidates_as_reference(self, monkeypatch):
+        tried = []
+        original = powersum._squarefree_coefficients
+
+        def record(p, degree):
+            tried.append(list(p))
+            return original(p, degree)
+
+        monkeypatch.setattr(powersum, "_squarefree_coefficients", record)
+        monkeypatch.setattr(powersum, "_resultant", lambda a, b, guard: {})
+        long_runs = 0
+        for basis in self._bases():
+            tried.clear()
+            powersum._space_has_squarefree(basis)
+            expected = _reference_tried(basis)
+            common = _lcm_of_denominators(basis)
+            scales = [_lcm_of_denominators([g]) for g in basis]
+            scales += [common] * (len(expected) - len(basis))
+            assert tried == [[s * v for v in p] for s, p in zip(scales, expected)]
+            long_runs += len(expected) > len(basis) + 1
+        assert long_runs >= 5
