@@ -7,12 +7,21 @@ algebra reduce to evaluated ranks of these matrices, which is what the
 Lefschetz checks use.
 
 Rank certification runs a ladder: exact evaluation at seeded integer
-points gives a certified lower bound, the bipartite matching number of
-the nonzero-entry support gives a certified upper bound, and when the
-two meet the rank is settled without symbolic work.  Otherwise a
-fraction-free symbolic elimination decides the rank below a size cap,
-and above the cap the report is labelled probabilistic with its
-Schwartz-Zippel odds, never silently.
+points gives a certified lower bound, and the bipartite matching
+number nu of the nonzero-entry support a certified upper bound.  Full
+rank at a point settles the rank at once.  Below a size cap the rank
+is then decided symbolically, with a kernel vector verified exactly
+over Z[x].  When evaluation already reaches nu, each column the
+maximum matching leaves free yields a kernel vector from its matching
+closure, a block of s rows and s+1 columns, and the n - nu vectors
+are independent; when evaluation falls short of nu, or a closure
+vector vanishes at its own column, fraction-free elimination of the
+whole matrix decides.  Both routes run polymat's fraction-free
+Gauss-Jordan, so the report keeps its method label "fraction-free
+Gauss-Jordan elimination", which tools reading the reports match on.
+Above the cap, meeting bounds certify structurally, and any other
+report is labelled probabilistic with its Schwartz-Zippel odds, never
+silently.
 """
 
 from __future__ import annotations
@@ -181,6 +190,51 @@ def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int, i
     return rows, scale, guard
 
 
+def _closure_kernels(rows: list[list[polymat.Poly]], support: list[set[int]],
+                     guard: int) -> list[list[polymat.Poly]] | None:
+    """Kernel vectors read off a maximum matching, one per unmatched column.
+
+    The closure of an unmatched column t is the smallest set of columns
+    holding t and the matched column of every row with an entry in one
+    of them.  Every such row is matched (else an augmenting path would
+    exist), so the closure's s rows are the only rows touching its s+1
+    columns, and a kernel vector of that small block, padded with
+    zeros, is one of the whole matrix.  No closure holds a second
+    unmatched column, so vectors nonzero at their own column are
+    independent.  None when some vector vanishes at its own column.
+    """
+    n = len(rows[0])
+    matched = linalg.matching(support)
+    row_column = {i: c for c, i in matched.items()}
+    column_rows: list[list[int]] = [[] for _ in range(n)]
+    for i, columns in enumerate(support):
+        for c in columns:
+            column_rows[c].append(i)
+    vectors = []
+    for t in range(n):
+        if t in matched:
+            continue
+        columns, block_rows, frontier = {t}, set(), [t]
+        while frontier:
+            for i in column_rows[frontier.pop()]:
+                if i not in block_rows:
+                    block_rows.add(i)
+                    columns.add(row_column[i])
+                    frontier.append(row_column[i])
+        vector: list[polymat.Poly] = [{} for _ in range(n)]
+        vector[t] = {0: 1}
+        if block_rows:
+            columns = sorted(columns)
+            block = [[rows[i][c] for c in columns] for i in sorted(block_rows)]
+            piece = polymat.kernel_vector(polymat.bareiss_jordan(block, guard), guard)
+            for c, w in zip(columns, piece):
+                vector[c] = w
+        if not vector[t]:
+            return None
+        vectors.append(vector)
+    return vectors
+
+
 def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankReport:
     """Generic rank of the Hessian, certified whenever the ladder allows."""
     policy = policy or RankPolicy()
@@ -214,22 +268,29 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     delta = hess.entry_degree
     if max(m, n) <= policy.max_symbolic_dim and delta <= policy.max_entry_degree:
         rows, _, guard = _symbolic_rows(hess)
-        result = polymat.bareiss_jordan(rows, guard)
-        value = result.rank
-        if value < best:
-            raise RuntimeError("symbolic rank below an evaluation witness")
+        vectors = _closure_kernels(rows, support, guard) if best == bound else None
+        if vectors is not None:
+            value = bound
+        else:
+            result = polymat.bareiss_jordan(rows, guard)
+            value = result.rank
+            if value < best:
+                raise RuntimeError("symbolic rank below an evaluation witness")
+            if value < cap:
+                vectors = [polymat.kernel_vector(result, guard)]
+                if vectors[0] is None:
+                    raise RuntimeError("degenerate matrix without a kernel vector")
         witness_forms = None
-        if value < cap:
-            vector = polymat.kernel_vector(result, guard)
-            if vector is None:
-                raise RuntimeError("degenerate matrix without a kernel vector")
-            for row in rows:
-                acc: polymat.Poly = {}
-                for entry, w in zip(row, vector):
-                    if entry and w:
-                        acc = polymat.padd(acc, polymat.pmul(entry, w))
-                if acc:
-                    raise RuntimeError("kernel witness failed exact verification")
+        if vectors:
+            for vector in vectors:
+                for row in rows:
+                    acc: polymat.Poly = {}
+                    for entry, w in zip(row, vector):
+                        if entry and w:
+                            acc = polymat.padd(acc, polymat.pmul(entry, w))
+                    if acc:
+                        raise RuntimeError("kernel witness failed exact verification")
+            vector = vectors[0]
             content = math.gcd(*(c for w in vector for c in w.values())) or 1
             witness_forms = [polymat.to_form(w, hess.form.variables, divide=content)
                              for w in vector]

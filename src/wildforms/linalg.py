@@ -209,27 +209,46 @@ def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
     return sorted(kept)
 
 
+def matching(row_support: Sequence[Iterable[int]]) -> dict[int, int]:
+    """A maximum bipartite matching of rows to support columns, {column: row}.
+
+    Each row in turn searches depth first for an augmenting path,
+    trying its columns in increasing order.  The search keeps its own
+    trail instead of recursing, so a path may be as long as the matrix
+    is wide.
+    """
+    supports = [sorted(set(s)) for s in row_support]
+    match_col: dict[int, int] = {}
+    for i in range(len(supports)):
+        seen: set[int] = set()
+        trail = []   # (row, its column iterator, the column it is trying)
+        row, columns = i, iter(supports[i])
+        while True:
+            for c in columns:
+                if c not in seen:
+                    break
+            else:
+                if not trail:
+                    break
+                row, columns, _ = trail.pop()
+                continue
+            seen.add(c)
+            owner = match_col.get(c)
+            if owner is not None:
+                trail.append((row, columns, c))
+                row, columns = owner, iter(supports[owner])
+                continue
+            match_col[c] = row
+            for owner, _, taken in trail:
+                match_col[taken] = owner
+            break
+    return match_col
+
+
 def max_matching(row_support: Sequence[Iterable[int]]) -> int:
-    """Maximum bipartite matching between rows and their support columns.
+    """Size of a maximum bipartite matching between rows and support columns.
 
     Any r x r nonzero minor selects a matching of size r, so this is a
     certified upper bound for the rank of a matrix with this support.
     """
-    supports = [sorted(set(s)) for s in row_support]
-    match_col: dict[int, int] = {}
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for c in supports[i]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or augment(match_col[c], seen):
-                match_col[c] = i
-                return True
-        return False
-
-    count = 0
-    for i in range(len(supports)):
-        if augment(i, set()):
-            count += 1
-    return count
+    return len(matching(row_support))

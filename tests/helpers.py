@@ -144,6 +144,30 @@ def reference_greedy_independent(rows) -> list[int]:
     return kept
 
 
+def reference_matching(row_support) -> dict[int, int]:
+    """Maximum matching {column: row} by recursive augmenting paths.
+
+    Each row in turn searches depth first, trying its columns in
+    increasing order; Python's recursion limit caps the path length.
+    """
+    supports = [sorted(set(s)) for s in row_support]
+    match_col: dict[int, int] = {}
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for c in supports[i]:
+            if c in seen:
+                continue
+            seen.add(c)
+            if c not in match_col or augment(match_col[c], seen):
+                match_col[c] = i
+                return True
+        return False
+
+    for i in range(len(supports)):
+        augment(i, set())
+    return match_col
+
+
 def reference_bareiss_det(rows: list[list[Poly]], guard: int) -> Poly:
     """Exact determinant of a square polynomial matrix."""
     n = len(rows)

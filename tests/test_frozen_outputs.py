@@ -12,8 +12,10 @@ symbolic kernel member decides, up to four parameters.
 
 The digests were written by the program of commit ee53730 (the first
 two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
-commit bd86157, which took the resultant from the Sylvester matrix),
-from the root of its checkout with this file copied in:
+commit bd86157, which took the resultant from the Sylvester matrix,
+and ``hessian --family perazzo --k 1`` by the child of commit e3a6079,
+which reads kernel witnesses off matching closures), from the root of
+its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wildforms import polymat
 from wildforms.families import build
 from wildforms.hessian import (
     BudgetExceeded,
@@ -21,7 +24,10 @@ from wildforms.hessian import (
     mixed_hessian,
     multiplication_map_rank,
     seeded_points,
+    _closure_kernels,
+    _symbolic_rows,
 )
+from wildforms.linalg import matching, max_matching
 from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
 from helpers import (VAR_LETTERS, random_form, random_linear,
@@ -75,9 +81,9 @@ class TestGenericRankLadder:
         assert rep.certainty == "certified-symbolic"
         assert rep.degenerate
         witness = rep.kernel_witness
-        assert witness == [parse("u*v^3", "xyzuv"),
-                           parse("-2*u^2*v^2", "xyzuv"),
-                           parse("u^3*v", "xyzuv"), None, None]
+        assert witness == [parse("v^2", "xyzuv"),
+                           parse("-2*u*v", "xyzuv"),
+                           parse("u^2", "xyzuv"), None, None]
         # independent verification: the witness combines the columns
         # of the classical Hessian matrix of partials to zero
         expr, syms = to_sympy(f)
@@ -148,6 +154,100 @@ class TestGenericRankLadder:
         a = generic_rank(mixed_hessian(f, 1, 1), RankPolicy(seed=5))
         b = generic_rank(mixed_hessian(f, 1, 1), RankPolicy(seed=5))
         assert a.to_dict() == b.to_dict()
+
+
+def _annihilates(rows, vector) -> bool:
+    for row in rows:
+        acc = {}
+        for entry, w in zip(row, vector):
+            acc = polymat.padd(acc, polymat.pmul(entry, w))
+        if acc:
+            return False
+    return True
+
+
+def _with_trimmed_copy(rows):
+    """Append row 0 without its last nonzero entry: [x, y, z] gets [x, y, 0]."""
+    row = list(rows[0])
+    nonzero = [j for j, e in enumerate(row) if e]
+    if nonzero:
+        row[nonzero[-1]] = {}
+    return rows + [row]
+
+
+def _sparse_poly_matrices():
+    """Small integer-polynomial matrices in two variables, mostly zeros;
+    the trimmed copies give closures singular on their matched columns."""
+    entry = st.one_of(
+        st.just({}), st.just({}),
+        st.dictionaries(st.sampled_from([polymat.pack(e) for e in
+                                         ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]),
+                        st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
+    matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    return st.one_of(matrices, matrices.map(_with_trimmed_copy))
+
+
+class TestClosureRung:
+    """Kernel vectors read off the support matching, against full elimination."""
+
+    @pytest.mark.parametrize("spec,seed,k,l", [
+        ("perazzo", 0, 1, 1), ("bb-cubic", 0, 1, 1), ("ikeda", 0, 2, 2),
+        ("exceptional(2,3)", 0, 2, 2), ("exceptional(2,3)", 1, 2, 2),
+        ("exceptional(2,3)", 2, 2, 2), ("exceptional(3,5)", 1, 2, 4),
+        ("exceptional(3,5)", 1, 3, 3)])
+    def test_value_matches_full_elimination(self, spec, seed, k, l):
+        hess = mixed_hessian(build(spec, seed=seed).form, k, l)
+        rep = generic_rank(hess, RankPolicy(max_symbolic_dim=16))
+        rows, _, guard = _symbolic_rows(hess)
+        support = [{j for j, e in enumerate(row) if e} for row in rows]
+        vectors = _closure_kernels(rows, support, guard)
+        assert vectors is not None and len(vectors) == hess.ncols - rep.support_bound
+        assert (rep.certainty, rep.degenerate) == ("certified-symbolic", True)
+        assert rep.value == rep.support_bound
+        assert rep.value == polymat.bareiss_jordan(rows, guard).rank
+
+    def test_singular_closure_falls_back_to_full_elimination(self):
+        x, y, z, w = ({polymat.pack(e): 1} for e in
+                      ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        guard = polymat.guard_mask(4)
+        # column 2's closure is rows 0-1 on columns 0-2, singular on 0-1
+        assert _closure_kernels([[x, y, z], [x, y, {}]],
+                                [{0, 1, 2}, {0, 1}], guard) is None
+        rows = [[x, y, z, {}], [x, y, {}, w], [{}, {}, {}, w], [{}, {}, {}, w]]
+        entries = [[polymat.to_form(e, tuple("xyzw")) for e in row] for row in rows]
+        hess = MixedHessian(parse("x^3", "xyzw"), 1, 1, None, None, entries)
+        shapes = []
+        jordan = polymat.bareiss_jordan
+
+        def spy(block, g):
+            shapes.append((len(block), len(block[0])))
+            return jordan(block, g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polymat, "bareiss_jordan", spy)
+            rep = generic_rank(hess)
+        assert (rep.value, rep.support_bound) == (3, 3)
+        assert rep.certainty == "certified-symbolic"
+        assert shapes == [(2, 3), (4, 4)]
+        assert _annihilates(rows, [polymat.from_form(e, 1) for e in rep.kernel_witness])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(_sparse_poly_matrices())
+    def test_vectors_annihilate_and_are_independent(self, rows):
+        guard = polymat.guard_mask(2)
+        support = [{j for j, e in enumerate(row) if e} for row in rows]
+        nu = max_matching(support)
+        assert polymat.bareiss_jordan(rows, guard).rank <= nu
+        vectors = _closure_kernels(rows, support, guard)
+        if vectors is None:
+            return
+        free = [t for t in range(len(rows[0])) if t not in matching(support)]
+        assert len(vectors) == len(free) == len(rows[0]) - nu
+        for t, vector in zip(free, vectors):
+            assert _annihilates(rows, vector)
+            assert vector[t]
+            assert not any(vector[u] for u in free if u != t)
 
 
 def rational_form(rng: random.Random, nvars: int, degree: int):

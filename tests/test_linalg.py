@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wildforms import polymat
 from wildforms.linalg import (
     greedy_independent,
+    matching,
     max_matching,
     nullspace,
     rank,
@@ -23,7 +24,7 @@ from wildforms.linalg import (
 
 from helpers import (reference_bareiss_det, reference_bareiss_jordan,
                      reference_greedy_independent, reference_kernel_vector,
-                     reference_rref)
+                     reference_matching, reference_rref)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -177,6 +178,21 @@ class TestSparse:
         assert max_matching([[0], [1], [2]]) == 3
         assert max_matching([[0, 1], [0, 1], [0, 1]]) == 2
         assert max_matching([[], [0]]) == 1
+
+    def test_matching_matches_reference(self):
+        rng = random.Random(116)
+        for _ in range(300):
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            density = rng.random()
+            support = [[j for j in range(n) if rng.random() < density]
+                       for _ in range(m)]
+            want = reference_matching(support)
+            assert matching(support) == want
+            assert max_matching(support) == len(want)
+
+    def test_matching_follows_a_long_augmenting_path(self):
+        # the last row reroutes all 1500 rows before it, one column over
+        assert max_matching([[i, i + 1] for i in range(1500)] + [[0]]) == 1501
 
 
 def sympy_from_poly(p, syms):
