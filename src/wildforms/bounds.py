@@ -15,18 +15,16 @@ route at its order k: the degenerate route at the pair (k,k) asks the
 same question of the same Hessian, so it is subsumed, and it remains
 available for other pairs (l,s).
 
-Every certifying step records how it was established.  Structural
-evidence (slice rank counts, support matchings) and symbolic evidence
-(fraction-free determinants) are exact; when neither is available the
-routes report failure rather than downgrade to sampled evidence.
-
-Before a square Hessian's symbolic determinant, the Hessian is
-evaluated exactly at the first seeded point of the rank policy.  Full
-rank there proves the determinant is not identically zero, which
-settles the route (no bound) without the determinant; only a rank
-deficient evaluation runs the symbolic determinant.  The point is
-sampled, but the conclusion drawn from it is exact, so this is not
-sampled evidence: a missed point only costs the determinant.
+Every certifying step records how it was established.  Given a
+bigraded form, the vanishing route first tries the structural slice
+rank count.  Past that, both routes ask whether a mixed Hessian has
+generic rank below a bound, and answer it one way: a support matching
+number nu below the bound is structural evidence that needs no
+evaluation; otherwise only a certified report of ``generic_rank``
+counts, and a certified-symbolic one carries a kernel witness verified
+exactly over Z[x], so every symbolic claim can be re-checked.  When
+the ladder cannot certify, the routes report failure rather than
+downgrade to sampled evidence.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from fractions import Fraction
 from . import linalg
 from .apolar import (catalecticant, conciseness, hilbert,
                      maximal_hilbert_through, require_analysis_form)
-from .hessian import (RankPolicy, evaluated_rank, generic_rank,
-                      hessian_determinant, mixed_hessian, seeded_points)
+from .hessian import RankPolicy, generic_rank, mixed_hessian
 from .poly import Form, bigrade, form_sum, make_form, render
 from .powersum import PowerSumDecomposition, verify_decomposition
 
@@ -218,21 +215,12 @@ def _certify_rank_deficient(f: Form, l: int, s: int, bound: int,
                             policy: RankPolicy) -> dict | None:
     """Certified evidence that Hess^(l,s) has generic rank below bound."""
     hess = mixed_hessian(f, l, s)
-    if l == s and hess.nrows <= policy.max_symbolic_dim:
-        # full rank at one point proves det Hess^(l,l) is not identically zero
-        if evaluated_rank(hess, next(seeded_points(policy, f.nvars))) == hess.nrows:
-            return None
-        if hessian_determinant(f, l, policy) is None:
-            return {"method": "symbolic-determinant",
-                    "certainty": "certified-symbolic",
-                    "detail": f"det Hess^({l},{s}) = 0 identically"}
-        return None
-    report = generic_rank(hess, policy)
-    if report.support_bound < bound:
+    if hess.support_bound < bound:
         return {"method": "support-matching",
                 "certainty": "certified-structural",
                 "detail": f"support matching allows rank at most "
-                          f"{report.support_bound} < {bound}"}
+                          f"{hess.support_bound} < {bound}"}
+    report = generic_rank(hess, policy)
     if report.certified and report.value < bound:
         return {"method": report.method, "certainty": report.certainty,
                 "detail": f"generic rank {report.value} < {bound}",
@@ -314,12 +302,15 @@ def wild_certificate(f: Form, strategy: CertificateStrategy | None = None) -> di
     Collects a certified border rank upper bound and a certified cactus
     rank lower bound, and declares the form wild exactly when the border
     bound does not exceed the cactus threshold.  Failures to establish
-    either side are reported with reasons, never papered over.
+    either side are reported with reasons, never papered over.  The
+    ``conciseness`` field is conciseness(f); the order the cactus route
+    ran at, which a strategy may set, is the cactus bound's ``k``.
     """
     require_analysis_form(f)
     strategy = strategy or CertificateStrategy()
     hf = hilbert(f)
-    k = strategy.k if strategy.k is not None else conciseness(f)
+    concise = conciseness(f)
+    k = strategy.k if strategy.k is not None else concise
     reasons: list[str] = []
     border = border_upper(f, strategy.x_vars, strategy.u_vars,
                           decomposition=strategy.decomposition,
@@ -351,7 +342,7 @@ def wild_certificate(f: Form, strategy: CertificateStrategy | None = None) -> di
         "variables": list(f.variables),
         "degree": f.degree,
         "hilbert": list(hf),
-        "conciseness": k,
+        "conciseness": concise,
         "border": border.to_dict() if border else None,
         "cactus": cactus.to_dict() if cactus else None,
         "verdict": verdict,

@@ -8,20 +8,25 @@ Lefschetz checks use.
 
 Rank certification runs a ladder: exact evaluation at seeded integer
 points gives a certified lower bound, and the bipartite matching
-number nu of the nonzero-entry support a certified upper bound.  Full
-rank at a point settles the rank at once.  Below a size cap the rank
-is then decided symbolically, with a kernel vector verified exactly
-over Z[x].  When evaluation already reaches nu, each column the
-maximum matching leaves free yields a kernel vector from its matching
-closure, a block of s rows and s+1 columns, and the n - nu vectors
-are independent; when evaluation falls short of nu, or a closure
-vector vanishes at its own column, fraction-free elimination of the
-whole matrix decides.  Both routes run polymat's fraction-free
-Gauss-Jordan, so the report keeps its method label "fraction-free
-Gauss-Jordan elimination", which tools reading the reports match on.
-Above the cap, meeting bounds certify structurally, and any other
-report is labelled probabilistic with its Schwartz-Zippel odds, never
-silently.
+number nu of the nonzero-entry support a certified upper bound.  The
+support and nu are computed once per Hessian and kept on it, so a
+caller that only needs nu (the cactus routes, when nu alone settles
+their bound) pays for no evaluation.  Full rank at a point settles the
+rank at once.  Below a size cap the rank is then decided symbolically,
+with a kernel vector verified exactly over Z[x].  When evaluation
+already reaches nu, each column the maximum matching leaves free
+yields a kernel vector from its matching closure, a block of s rows
+and s+1 columns, and the n - nu vectors are independent; when
+evaluation falls short of nu, or a closure vector vanishes at its own
+column, fraction-free elimination of the whole matrix decides.  Both
+routes run polymat's fraction-free Gauss-Jordan, so the report keeps
+its method label "fraction-free Gauss-Jordan elimination", which tools
+reading the reports match on.  Above the cap, meeting bounds certify
+structurally, and any other report is labelled probabilistic with its
+Schwartz-Zippel odds, never silently.
+
+The symbolic determinant of ``hessian_determinant`` serves only the
+``hessian`` command, when a square rank is probabilistic.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
@@ -124,6 +130,17 @@ class MixedHessian:
     @property
     def entry_degree(self) -> int:
         return self.form.degree - self.k - self.l
+
+    @cached_property
+    def support(self) -> list[set[int]]:
+        """Columns of the nonzero entries, row by row."""
+        return [set(j for j, e in enumerate(row) if e is not None)
+                for row in self.entries]
+
+    @cached_property
+    def support_bound(self) -> int:
+        """Matching number nu of the support, an upper bound on every rank."""
+        return linalg.max_matching(self.support)
 
 
 def mixed_hessian(f: Form, k: int, l: int) -> MixedHessian:
@@ -240,9 +257,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     policy = policy or RankPolicy()
     m, n = hess.nrows, hess.ncols
     cap = min(m, n)
-    support = [set(j for j, e in enumerate(row) if e is not None)
-               for row in hess.entries]
-    bound = linalg.max_matching(support)
+    bound = hess.support_bound
     if cap == 0 or bound == 0:
         return RankReport(0, "certified-structural", "empty support",
                           m, n, degenerate=cap > 0, support_bound=bound)
@@ -268,7 +283,8 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     delta = hess.entry_degree
     if max(m, n) <= policy.max_symbolic_dim and delta <= policy.max_entry_degree:
         rows, _, guard = _symbolic_rows(hess)
-        vectors = _closure_kernels(rows, support, guard) if best == bound else None
+        vectors = (_closure_kernels(rows, hess.support, guard)
+                   if best == bound else None)
         if vectors is not None:
             value = bound
         else:

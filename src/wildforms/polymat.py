@@ -122,17 +122,6 @@ def pdivexact(num: Poly, den: Poly, guard: int) -> Poly:
     return quot
 
 
-def peval(p: Poly, point: Sequence[int], nvars: int) -> int:
-    total = 0
-    for key, coefficient in p.items():
-        piece = coefficient
-        for v, e in zip(point, unpack(key, nvars)):
-            if e:
-                piece *= v ** e
-        total += piece
-    return total
-
-
 def from_form(f: "Form | None", scale: int) -> Poly:
     """Pack scale*f into int coefficients; scale must clear denominators."""
     if f is None:

@@ -17,6 +17,8 @@ import sympy
 
 from wildforms import linalg, polymat
 from wildforms.apolar import require_analysis_form
+from wildforms.hessian import (RankPolicy, evaluated_rank, generic_rank,
+                               hessian_determinant, mixed_hessian, seeded_points)
 from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
                             make_form, monomial, monomials, multiply, parse,
                             power)
@@ -290,6 +292,32 @@ def reference_evaluated_rank(hess, point) -> int:
     matrix = [[Fraction(0) if e is None else e.evaluate(point) for e in row]
               for row in hess.entries]
     return linalg.rank(matrix)
+
+
+def reference_certify_rank_deficient(f: Form, l: int, s: int, bound: int,
+                                     policy: RankPolicy) -> dict | None:
+    """Certified evidence that Hess^(l,s) has generic rank below bound."""
+    hess = mixed_hessian(f, l, s)
+    if l == s and hess.nrows <= policy.max_symbolic_dim:
+        # full rank at one point proves det Hess^(l,l) is not identically zero
+        if evaluated_rank(hess, next(seeded_points(policy, f.nvars))) == hess.nrows:
+            return None
+        if hessian_determinant(f, l, policy) is None:
+            return {"method": "symbolic-determinant",
+                    "certainty": "certified-symbolic",
+                    "detail": f"det Hess^({l},{s}) = 0 identically"}
+        return None
+    report = generic_rank(hess, policy)
+    if report.support_bound < bound:
+        return {"method": "support-matching",
+                "certainty": "certified-structural",
+                "detail": f"support matching allows rank at most "
+                          f"{report.support_bound} < {bound}"}
+    if report.certified and report.value < bound:
+        return {"method": report.method, "certainty": report.certainty,
+                "detail": f"generic rank {report.value} < {bound}",
+                "report": report.to_dict()}
+    return None
 
 
 def reference_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:

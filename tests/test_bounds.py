@@ -6,8 +6,9 @@ import random
 from math import comb
 
 import pytest
+import sympy
 
-from wildforms import bounds
+from wildforms import bounds, hessian, polymat
 from wildforms.apolar import conciseness
 from wildforms.bounds import (
     SCHEMA,
@@ -22,13 +23,16 @@ from wildforms.bounds import (
     wild_certificate,
 )
 from wildforms.families import build
-from wildforms.hessian import RankPolicy
+from wildforms.hessian import BudgetExceeded, RankPolicy
 from wildforms.poly import LinearForm, parse, power, render
 from wildforms.powersum import PowerSumDecomposition
 
-from helpers import random_form
+from helpers import (random_form, reference_certify_rank_deficient,
+                     sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
+# the perazzo cubic sheared so that every second partial is nonzero
+SHEARED = sheared_perazzo()
 
 
 class TestMonomialBound:
@@ -235,12 +239,12 @@ class TestCactusLowerBounds:
         assert (got.value, got.k, got.route) == (5, 1, "vanishing-hessian")
         assert got.evidence["criterion"] == "slice-rank"
 
-    def test_vanishing_route_via_symbolic_determinant(self):
+    def test_vanishing_route_via_support_matching(self):
         got = cactus_lower_vanishing(build("perazzo").form, 1)
         assert got is not None
         assert got.value == 5
-        assert got.evidence["method"] == "symbolic-determinant"
-        assert got.evidence["certainty"] == "certified-symbolic"
+        assert got.evidence["method"] == "support-matching"
+        assert got.evidence["certainty"] == "certified-structural"
 
     def test_vanishing_route_quintic(self):
         got = cactus_lower_vanishing(build("ikeda").form, 2)
@@ -265,7 +269,7 @@ class TestCactusLowerBounds:
         assert got is not None
         assert (got.value, got.route) == (10, "unimodal-degenerate-hessian")
         assert got.evidence["hessian_pair"] == [2, 2]
-        assert got.evidence["method"] == "symbolic-determinant"
+        assert got.evidence["method"] == "support-matching"
 
     def test_degenerate_route_above_symbolic_cap(self):
         f = build("exceptional(3, 5)").form
@@ -288,16 +292,16 @@ class TestCactusLowerBounds:
             cactus_lower_degenerate(f, 1, 2, 2)
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Wrap bounds.<name>; the returned list gets one entry per call."""
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.<name>; the returned list gets one entry per call."""
     calls = []
-    original = getattr(bounds, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -305,43 +309,76 @@ def dense_quartic():
     return random_form(random.Random(607), nvars=3, degree=4, density=1.0)
 
 
+ROUTES = (cactus_lower_vanishing, cactus_lower_degenerate)
+
+
 class TestDeterminantWitness:
-    """One full-rank evaluation stands in for a nonzero determinant."""
+    """No cactus route runs a determinant: witnesses settle every claim.
+
+    Both routes take nu first, then the rank ladder, so each claim rests
+    on a support matching below the bound, a full-rank evaluation, or a
+    kernel vector checked over Z[x].
+    """
 
     @pytest.mark.parametrize("form", [FERMAT, dense_quartic()],
                              ids=["fermat", "quartic"])
     def test_nondegenerate_skips_the_determinant(self, monkeypatch, form):
-        determinants = count_calls(monkeypatch, "hessian_determinant")
-        witnesses = count_calls(monkeypatch, "evaluated_rank")
-        assert cactus_lower_vanishing(form, 1) is None
-        assert cactus_lower_degenerate(form, 1) is None
-        assert determinants == []
-        assert len(witnesses) == 2
+        witnesses = count_calls(monkeypatch, hessian, "evaluated_rank")
+        eliminations = count_calls(monkeypatch, polymat, "bareiss_jordan")
+        determinants = count_calls(monkeypatch, polymat, "bareiss_det")
+        for route in ROUTES:
+            assert route(form, 1) is None
+        assert len(witnesses) == len(ROUTES)
+        assert eliminations == determinants == []
 
     @pytest.mark.parametrize("spec,k", [("perazzo", 1), ("ikeda", 2)])
-    def test_degenerate_runs_the_determinant_once_per_route(self, monkeypatch,
-                                                            spec, k):
-        determinants = count_calls(monkeypatch, "hessian_determinant")
+    def test_support_deficient_needs_no_evaluation(self, monkeypatch, spec, k):
+        witnesses = count_calls(monkeypatch, hessian, "evaluated_rank")
+        eliminations = count_calls(monkeypatch, polymat, "bareiss_jordan")
         f = build(spec).form
-        for route in (cactus_lower_vanishing, cactus_lower_degenerate):
-            before = len(determinants)
+        for route in ROUTES:
             got = route(f, k)
-            assert len(determinants) == before + 1
-            assert got.evidence["method"] == "symbolic-determinant"
-            assert got.evidence["certainty"] == "certified-symbolic"
+            assert got.evidence["method"] == "support-matching"
+            assert got.evidence["certainty"] == "certified-structural"
+        assert witnesses == eliminations == []
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+    def test_full_support_deficiency_has_a_kernel_witness(self, route):
+        got = route(SHEARED, 1)
+        assert got.value == 5
+        assert got.evidence["certainty"] == "certified-symbolic"
+        report = got.evidence["report"]
+        assert (report["value"], report["support_bound"]) == (4, 5)
+        vector = [0 if w == "0" else to_sympy(parse(w, SHEARED.variables))[0]
+                  for w in report["kernel_witness"]]
+        assert any(vector)
+        # H[i][j] = alpha_i beta_j (f), differentiated by sympy
+        expr, syms = to_sympy(SHEARED)
+        hess = hessian.mixed_hessian(SHEARED, 1, 1)
+
+        def derivative(exponent):
+            return sympy.diff(expr, *[(s, e) for s, e in zip(syms, exponent) if e])
+        for alpha in hess.row_basis.monomials:
+            row = [derivative(tuple(a + b for a, b in zip(alpha, beta)))
+                   for beta in hess.col_basis.monomials]
+            assert sympy.expand(sum(h * v for h, v in zip(row, vector))) == 0
 
     @pytest.mark.parametrize("form", [
         build("perazzo").form, build("ikeda").form, build("bb-cubic").form,
-        FERMAT, dense_quartic()],
-        ids=["perazzo", "ikeda", "bb-cubic", "fermat", "quartic"])
+        FERMAT, dense_quartic(), SHEARED],
+        ids=["perazzo", "ikeda", "bb-cubic", "fermat", "quartic", "sheared"])
     def test_missed_witness_leaves_the_certificate_unchanged(self, monkeypatch,
                                                             form):
         expected = wild_certificate(form)
-        monkeypatch.setattr(bounds, "evaluated_rank",
-                            lambda hess, point: hess.nrows - 1)
-        determinants = count_calls(monkeypatch, "hessian_determinant")
+        monkeypatch.setattr(hessian, "evaluated_rank",
+                            lambda hess, point: min(hess.nrows, hess.ncols) - 1)
         assert wild_certificate(form) == expected
-        assert len(determinants) == 1
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
+    def test_entry_degree_budget_is_strict(self, route):
+        policy = RankPolicy(max_entry_degree=0, strict=True)
+        with pytest.raises(BudgetExceeded, match="entry degree"):
+            route(SHEARED, 1, policy=policy)
 
 
 SUBSUMPTION_MEMBERS = ["perazzo", "bb-cubic", "ikeda", "power-family(3)",
@@ -365,18 +402,22 @@ def concise_random_forms(seed: int, count: int, **shape) -> list:
     return forms
 
 
+def cactus_corpus() -> list:
+    """Named members, two nondegenerate forms, SHEARED and seeded forms."""
+    return ([build(spec).form for spec in SUBSUMPTION_MEMBERS]
+            + [FERMAT, dense_quartic(), SHEARED]
+            + concise_random_forms(811, 6, nvars=3, degree=3, density=1.0)
+            + concise_random_forms(812, 4, nvars=4, degree=3, density=0.5)
+            + concise_random_forms(813, 4, nvars=3, degree=5, density=0.4))
+
+
 class TestDegenerateRouteSubsumed:
     """At k = conciseness(f), the (k,k) degenerate route adds nothing."""
 
     def test_vanishing_none_implies_degenerate_none(self):
-        forms = ([build(spec).form for spec in SUBSUMPTION_MEMBERS]
-                 + [FERMAT, dense_quartic()]
-                 + concise_random_forms(811, 6, nvars=3, degree=3, density=1.0)
-                 + concise_random_forms(812, 4, nvars=4, degree=3, density=0.5)
-                 + concise_random_forms(813, 4, nvars=3, degree=5, density=0.4))
         policy = RankPolicy()
         missed = above_cap = 0
-        for f in forms:
+        for f in cactus_corpus():
             k = conciseness(f)
             vanishing = cactus_lower_vanishing(f, k, policy=policy)
             degenerate = cactus_lower_degenerate(f, k, policy=policy)
@@ -391,6 +432,28 @@ class TestDegenerateRouteSubsumed:
                 assert degenerate.value == vanishing.value
         assert missed >= 5
         assert above_cap >= 1
+
+
+class TestOneRouteAgainstDeterminantRoute:
+    """The rank route certifies exactly where the determinant route did."""
+
+    def test_same_bounds_at_conciseness(self, monkeypatch):
+        policy = RankPolicy()
+        certified = 0
+        for f in cactus_corpus():
+            k = conciseness(f)
+            got = [route(f, k, policy=policy) for route in ROUTES]
+            with monkeypatch.context() as patched:
+                patched.setattr(bounds, "_certify_rank_deficient",
+                                reference_certify_rank_deficient)
+                want = [route(f, k, policy=policy) for route in ROUTES]
+            for new, old in zip(got, want):
+                assert (new is None) == (old is None), render(f)
+                if new is not None:
+                    assert (new.value, new.k, new.route) == (old.value, old.k,
+                                                             old.route)
+                    certified += 1
+        assert certified >= 10
 
 
 class TestWildCertificate:
@@ -431,6 +494,16 @@ class TestWildCertificate:
                    for why in cert["reasons"])
         assert any("doubled threshold of 140 is not certified" in note
                    for note in cert["notes"])
+
+    def test_conciseness_is_the_forms_not_the_strategys(self):
+        r = build("monomial-spread(1, 3)")
+        assert r.strategy.k == 3
+        cert = wild_certificate(r.form, r.strategy)
+        assert cert["conciseness"] == conciseness(r.form) == 2
+        assert any("at order 3" in why for why in cert["reasons"])
+        spread = build("monomial-spread(2, 3)")
+        cert = wild_certificate(spread.form, spread.strategy)
+        assert cert["conciseness"] == cert["cactus"]["k"] == 3
 
     def test_border_missing_without_hints(self):
         cert = wild_certificate(build("perazzo").form)

@@ -3,8 +3,10 @@
 Each command below runs in-process through ``wildforms.cli.main``; the
 sha256 of its exit code, stdout and stderr must equal the digest stored
 in ``tests/data/frozen_outputs.json``.  The corpus covers both cactus
-routes (slice rank, symbolic determinant, support matching, and dense
-forms whose Hessian determinant is certified nonzero by evaluation),
+routes (slice rank, support matching, a full-support Hessian whose
+deficiency the rank ladder certifies with a kernel witness, and dense
+forms whose Hessian is certified full rank by one evaluation), a
+certificate whose strategy order exceeds the form's conciseness,
 rational coefficients, ``hessian`` with k = l and k < l, ``lefschetz``
 with sampled and given (rational) elements, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
@@ -13,9 +15,13 @@ symbolic kernel member decides, up to four parameters.
 The digests were written by the program of commit ee53730 (the first
 two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
 commit bd86157, which took the resultant from the Sylvester matrix,
-and ``hessian --family perazzo --k 1`` by the child of commit e3a6079,
-which reads kernel witnesses off matching closures), from the root of
-its checkout with this file copied in:
+``hessian --family perazzo --k 1`` by the child of commit e3a6079,
+which reads kernel witnesses off matching closures, and
+``analyze --family ikeda``, ``analyze --poly`` of the sheared perazzo
+cubic and ``analyze --family monomial-spread(1,3)`` by the child of
+commit 6dd5c24, which settles every cactus claim by support matching
+or the rank ladder and reports the form's own conciseness), from the
+root of its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -42,6 +48,8 @@ DENSE_TERNARY_QUARTIC = ("3*x^4 - 2*x^3*y + x^2*y^2 + 5*x*y^3 - y^4 + x^2*z^2"
 DENSE_QUATERNARY_QUARTIC = ("x^4 + 2*y^4 - 3*z^4 + w^4 + x*y*z*w + x^2*y*z"
                             " - y^2*z*w + 3*x*z^2*w + 2*x^3*w - y^3*z")
 RATIONAL_CUBIC = "1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3 - 2/5*x*z^2"
+SHEARED_PERAZZO = ("x^3 + 2*x^2*u + x*y^2 + x*y*v + x*u^2 + y^2*z + y^2*u"
+                   " + 2*y*z*v + y*u*v + z*v^2")
 BINARY_SEXTIC = ("243*x^6 + 81*x^5*y - 540*x^4*y^2 + 450*x^3*y^3"
                  " - 165*x^2*y^4 + 29*x*y^5 - 2*y^6")
 BINARY_OCTIC = ("4*x^8 + 68*x^7*y + 469*x^6*y^2 + 1638*x^5*y^3 + 2835*x^4*y^4"
@@ -58,6 +66,10 @@ COMMANDS = [
     ("analyze", "--poly", DENSE_TERNARY_QUARTIC, "--vars", "x,y,z"),
     ("analyze", "--poly", DENSE_QUATERNARY_QUARTIC, "--vars", "x,y,z,w"),
     ("analyze", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z"),
+    # full support, rank 4 < 5: the cactus claim carries a kernel witness
+    ("analyze", "--poly", SHEARED_PERAZZO, "--vars", "x,y,z,u,v"),
+    # the strategy's order 3 exceeds the form's conciseness 2
+    ("analyze", "--family", "monomial-spread(1,3)"),
     ("hessian", "--family", "perazzo", "--k", "1"),
     ("hessian", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z", "--k", "1"),
     ("hessian", "--family", "ikeda", "--k", "1", "--l", "2"),

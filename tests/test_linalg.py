@@ -245,16 +245,6 @@ class TestPolymat:
             prod = polymat.pmul(a, b)
             assert polymat.pdivexact(prod, b, guard) == a
 
-    def test_eval_matches_sympy(self):
-        rng = random.Random(111)
-        syms = sympy.symbols("t0 t1")
-        for _ in range(20):
-            p = random_poly(rng, 2)
-            point = [rng.randint(-4, 4), rng.randint(-4, 4)]
-            want = sympy_from_poly(p, syms).subs(
-                {syms[0]: point[0], syms[1]: point[1]})
-            assert polymat.peval(p, point, 2) == want
-
     def test_bareiss_det_matches_sympy(self):
         rng = random.Random(112)
         syms = sympy.symbols("t0 t1")
