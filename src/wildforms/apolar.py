@@ -5,9 +5,14 @@ differential operators to their derivatives of degree d-k.  Its rank is
 the k-th value of the Hilbert function of the apolar algebra, and its
 left kernel is the degree-k slice of the annihilator.  Slices are built
 from the form's terms, never by enumerating the monomial spaces, and
-each is computed once per form: ``catalecticant`` keeps it on the Form
-object, so it lives exactly as long as the form.  A slice links back to
-its form only weakly, so the form and its slices make no reference
+each is computed once per form: ``catalecticant``, the only builder,
+keeps it on the Form object, so it lives exactly as long as the form.
+A request for a window of degrees 0..through (``hilbert`` asks for all
+of them) builds every missing slice of the window from one pass over
+each term's divisors, with the exponent tuples of that pass interned,
+so a slice's columns share their tuples with another slice's rows; a
+single-degree request enumerates only that degree.  A slice links back
+to its form only weakly, so the form and its slices make no reference
 cycle and are freed by reference counting as soon as the form is
 dropped.  Integer coefficients give plain ``int`` cells.  One exact
 elimination per slice gives both its rank and its greedy-first basis
@@ -37,16 +42,57 @@ def require_analysis_form(f: object) -> Form:
     return f
 
 
-def _divisors(e: Exponent, k: int) -> list[tuple[Exponent, int]]:
-    """Every alpha <= e with |alpha| = k, with prod perm(e_i, alpha_i)."""
-    partial: list[tuple[Exponent, int, int]] = [((), k, 1)]
+_ZERO = (0,)
+
+
+def _divisors(e: Exponent, lo: int, hi: int, scale: Fraction | int
+              ) -> list[tuple[Exponent, Exponent, int, Fraction | int]]:
+    """Every alpha <= e with lo <= |alpha| <= hi, as (alpha, e - alpha,
+    |alpha|, scale * prod perm(e_i, alpha_i)), for e of degree >= 1.
+
+    Each variable's choices are cut to those the remaining exponents can
+    still complete into the window, so no partial divisor is a dead end;
+    a zero exponent has the one choice 0.
+    """
+    partial: list[tuple[Exponent, Exponent, int, Fraction | int]] = [((), (), 0, scale)]
     rest = sum(e)
     for ei in e:
+        if not ei:
+            partial = [(alpha + _ZERO, beta + _ZERO, size, factor)
+                       for alpha, beta, size, factor in partial]
+            continue
         rest -= ei
-        partial = [(alpha + (a,), left - a, factor * perm(ei, a))
-                   for alpha, left, factor in partial
-                   for a in range(max(0, left - rest), min(ei, left) + 1)]
-    return [(alpha, factor) for alpha, _, factor in partial]
+        partial = [(alpha + (a,), beta + (ei - a,), size + a, factor * perm(ei, a))
+                   for alpha, beta, size, factor in partial
+                   for a in range(max(0, lo - size - rest), min(ei, hi - size) + 1)]
+    return partial
+
+
+def _slice_images(form: Form, degrees: list[int]
+                  ) -> dict[int, dict[Exponent, dict[Exponent, Fraction | int]]]:
+    """Row alpha -> {column e - alpha: cell} of every slice in ``degrees``,
+    from one pass over each term's divisors of degree in their span.
+
+    Equal exponent tuples are interned across the pass, so rows of one
+    slice and columns of another share their tuples.
+    """
+    images: dict[int, dict[Exponent, dict[Exponent, Fraction | int]]] = {
+        k: {} for k in degrees}
+    shared: dict[Exponent, Exponent] = {}
+    intern = shared.setdefault
+    lo, hi = min(degrees), max(degrees)
+    for e, c in form.terms.items():
+        if c.denominator == 1:
+            c = c.numerator
+        for alpha, beta, k, cell in _divisors(e, lo, hi, c):
+            image = images.get(k)
+            if image is None:
+                continue
+            row = image.get(alpha)
+            if row is None:
+                row = image[intern(alpha, alpha)] = {}
+            row[intern(beta, beta)] = cell
+    return images
 
 
 class CatalecticantSlice:
@@ -67,21 +113,12 @@ class CatalecticantSlice:
     cycle, and a slice still answers every question without its form.
     """
 
-    def __init__(self, form: Form, k: int):
-        require_analysis_form(form)
-        if not 0 <= k <= form.degree:
-            raise ValueError(f"slice degree {k} outside 0..{form.degree}")
+    def __init__(self, form: Form, k: int,
+                 images: dict[Exponent, dict[Exponent, Fraction | int]]):
         self._form = weakref.ref(form)
         self.variables = form.variables
         self.degree = form.degree
         self.k = k
-        images: dict[Exponent, dict[Exponent, Fraction | int]] = {}
-        for e, c in form.terms.items():
-            if c.denominator == 1:
-                c = c.numerator
-            for alpha, factor in _divisors(e, k):
-                beta = tuple(a - b for a, b in zip(e, alpha))
-                images.setdefault(alpha, {})[beta] = c * factor
         self.columns: list[Exponent] = sorted(
             {beta for image in images.values() for beta in image}, reverse=True)
         col_index = {beta: j for j, beta in enumerate(self.columns)}
@@ -136,14 +173,31 @@ class CatalecticantSlice:
         return basis
 
 
-def catalecticant(f: Form, k: int) -> CatalecticantSlice:
-    """The degree-k slice of f, built on first use and kept on the form."""
+def catalecticant(f: Form, k: int, through: int | None = None) -> CatalecticantSlice:
+    """The degree-k slice of f, built on first use and kept on the form.
+
+    The only place slices are built.  With ``through``, a miss builds
+    every missing slice of degrees 0..through (k among them) in one pass
+    over the terms' divisors; without it, only slice k.
+    """
     require_analysis_form(f)
-    if f._slices is None:
-        f._slices = {}
-    slice_ = f._slices.get(k)
+    slices = f._slices
+    if slices is None:
+        slices = f._slices = {}
+    slice_ = slices.get(k)
     if slice_ is None:
-        slice_ = f._slices[k] = CatalecticantSlice(f, k)
+        if not 0 <= k <= f.degree:
+            raise ValueError(f"slice degree {k} outside 0..{f.degree}")
+        if through is None:
+            degrees = [k]
+        elif k <= through <= f.degree:
+            degrees = [j for j in range(through + 1) if j not in slices]
+        else:
+            raise ValueError(f"window 0..{through} must hold {k} and lie in 0..{f.degree}")
+        images = _slice_images(f, degrees)
+        for j in degrees:
+            slices[j] = CatalecticantSlice(f, j, images.pop(j))
+        slice_ = slices[k]
     return slice_
 
 
@@ -162,7 +216,8 @@ class HilbertFunction(tuple):
 def hilbert(f: Form) -> HilbertFunction:
     """Exact Hilbert function, every slice rank computed independently."""
     require_analysis_form(f)
-    return HilbertFunction(catalecticant(f, k).rank for k in range(f.degree + 1))
+    d = f.degree
+    return HilbertFunction(catalecticant(f, k, through=d).rank for k in range(d + 1))
 
 
 def is_unimodal(values) -> bool:
@@ -185,7 +240,7 @@ def maximal_hilbert_through(f: Form, k: int) -> bool:
     if k < 0:
         raise ValueError("negative degree")
     n = f.nvars
-    return all(catalecticant(f, j).rank == comb(n - 1 + j, j)
+    return all(catalecticant(f, j, through=k).rank == comb(n - 1 + j, j)
                for j in range(k, -1, -1))
 
 
@@ -201,11 +256,18 @@ def is_k_concise(f: Form, k: int) -> bool:
 
 
 def conciseness(f: Form) -> int:
-    """Largest admissible k with maximal growth through degree k."""
+    """Largest admissible k with maximal growth through degree k.
+
+    One upward scan: degree 0, then each admissible k once, stopping at
+    the first k whose slice rank falls short of dim Q_k.
+    """
     require_analysis_form(f)
+    n, last = f.nvars, (f.degree - 1) // 2
+    if last < 1 or catalecticant(f, 0, through=last).rank != 1:
+        return 0
     best = 0
-    for k in range(1, (f.degree - 1) // 2 + 1):
-        if not maximal_hilbert_through(f, k):
+    for k in range(1, last + 1):
+        if catalecticant(f, k, through=last).rank != comb(n - 1 + k, k):
             break
         best = k
     return best

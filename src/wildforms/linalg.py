@@ -7,9 +7,12 @@ matrices are split into connected components of the row/column
 incidence graph and each component is reduced transposed, one line per
 column, so the pivot columns are the greedy-first independent rows;
 catalecticant slices of bi-graded forms are block diagonal under that
-split, which keeps the large cases small.  Each component is divided
-by the gcd of every row and of every column before elimination, which
-keeps Bareiss' coefficient growth down.  Kernels and solves use
+split, which keeps the large cases small.  A component of one row
+keeps that row, and one of one column keeps its first row, since its
+rows are nonzero multiples of each other; neither is eliminated.  Each
+other component is divided by the gcd of every row and of every column
+before elimination, which keeps Bareiss' coefficient growth down; rows
+of plain ints skip the denominator scaling.  Kernels and solves use
 ``rref``, fraction-free Gauss-Jordan on the same integer rows with a
 gcd division per updated row; only its final pivot division makes
 Fractions.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[Fraction | int]]
@@ -157,10 +161,14 @@ def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
     """Indices of the greedy-first maximal independent subset of rows.
 
     Rows in different incidence components are independent of each
-    other, so each component is eliminated on its own, transposed: the
-    pivot columns of the echelon form of M^T are the greedy-first
-    independent rows of M.  Each row of M is scaled to integers by the
-    lcm of its denominators and divided by the gcd of the result, then
+    other, so each component is settled on its own.  A one-row
+    component is its row, kept when nonzero.  In a one-column component
+    every nonzero row is a nonzero multiple of every other, so the first
+    nonzero one is kept and the rest depend on it.  Any other component
+    is eliminated transposed: the pivot columns of the echelon form of
+    M^T are the greedy-first independent rows of M.  Each row of M is
+    scaled to integers by the lcm of its denominators (rows of ints
+    need no scaling) and divided by the gcd of the result, then
     each row of M^T by the gcd of its entries.  Both are nonzero
     scalings, of the columns and of the rows of M^T: the first keeps
     every dependency among the rows of M, the second keeps the row
@@ -191,13 +199,23 @@ def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
 
     kept: list[int] = []
     for indices in groups.values():
+        if len(indices) == 1:
+            if any(rows[indices[0]].values()):
+                kept.append(indices[0])
+            continue
         cols = sorted({c for i in indices for c in rows[i]})
+        if len(cols) == 1:
+            kept.extend(islice((i for i in indices if rows[i][cols[0]]), 1))
+            continue
         where = {c: j for j, c in enumerate(cols)}
         lines = [[0] * len(indices) for _ in cols]
         for t, i in enumerate(indices):
             row = rows[i]
-            scale = math.lcm(*(v.denominator for v in row.values()))
-            scaled = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            if all(type(v) is int for v in row.values()):
+                scaled = row
+            else:
+                scale = math.lcm(*(v.denominator for v in row.values()))
+                scaled = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
             g = math.gcd(*scaled.values()) or 1
             for c, v in scaled.items():
                 lines[where[c]][t] = v // g

@@ -10,13 +10,14 @@ their replacements can be differential-tested against them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import sympy
 
 from wildforms import linalg, polymat
-from wildforms.apolar import require_analysis_form
+from wildforms.apolar import maximal_hilbert_through, require_analysis_form
 from wildforms.hessian import (RankPolicy, evaluated_rank, generic_rank,
                                hessian_determinant, mixed_hessian, seeded_points)
 from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
@@ -104,6 +105,33 @@ def reference_catalecticant(f: Form, k: int):
     return row_monos, col_monos, rows
 
 
+def reference_divisors(e, k: int) -> list[tuple[tuple, int]]:
+    """Every alpha <= e with |alpha| = k, with prod perm(e_i, alpha_i).
+
+    The per-degree enumerator slices were built from, one call per term
+    and degree, before one pass served a whole window of degrees.
+    """
+    partial = [((), k, 1)]
+    rest = sum(e)
+    for ei in e:
+        rest -= ei
+        partial = [(alpha + (a,), left - a, factor * math.perm(ei, a))
+                   for alpha, left, factor in partial
+                   for a in range(max(0, left - rest), min(ei, left) + 1)]
+    return [(alpha, factor) for alpha, _, factor in partial]
+
+
+def reference_conciseness(f: Form) -> int:
+    """Largest admissible k with maximal growth through degree k, by
+    re-checking every degree j <= k for each k."""
+    best = 0
+    for k in range(1, (f.degree - 1) // 2 + 1):
+        if not maximal_hilbert_through(f, k):
+            break
+        best = k
+    return best
+
+
 def reference_power(linear: LinearForm, d: int) -> Form:
     """The d-th power of a linear form, expanded exactly."""
     if d < 0:
@@ -120,12 +148,13 @@ def reference_greedy_independent(rows) -> list[int]:
     """Indices of the greedy-first maximal independent subset of rows.
 
     Sparse Fraction elimination one row at a time: a row is kept when
-    it stays nonzero after reduction by the rows kept before it.
+    it stays nonzero after reduction by the rows kept before it.  Cells
+    are nonzero ints or Fractions.
     """
     echelon: dict[int, dict[int, Fraction]] = {}
     kept: list[int] = []
     for idx, row in enumerate(rows):
-        work = dict(row)
+        work = {c: Fraction(v) for c, v in row.items()}
         while work:
             lead = min(work)
             known = echelon.get(lead)

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wildforms import apolar
 from wildforms.apolar import (
+    CatalecticantSlice,
     apolar_basis,
     catalecticant,
     conciseness,
@@ -25,6 +30,7 @@ from wildforms.hessian import mixed_hessian
 from wildforms.poly import Form, LinearForm, apply, monomial, monomials, parse, power
 
 from helpers import (oracle_hilbert, random_form, reference_catalecticant,
+                     reference_conciseness, reference_divisors,
                      reference_greedy_independent)
 
 
@@ -256,6 +262,150 @@ class TestSliceAgainstDefinition:
                     for b, entry in zip(h.col_basis.monomials, line):
                         op = monomial(f.variables, tuple(x + y for x, y in zip(a, b)))
                         assert entry == apply(op, f)
+
+
+def _fresh(f: Form) -> Form:
+    """An equal form with no slices built yet."""
+    return Form(f.variables, f.degree, f.terms)
+
+
+def _assert_slice_is_definition(f: Form, k: int) -> None:
+    """The built slice k of f: its nonzero rows and columns, their order,
+    cells and greedy-first basis rows, against the definition."""
+    s = catalecticant(f, k)
+    row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
+    want = {alpha: {col_monos[j]: c for j, c in row.items()}
+            for alpha, row in zip(row_monos, ref_rows) if row}
+    got = {alpha: {s.columns[j]: c for j, c in row.items()}
+           for alpha, row in zip(s.row_monomials, s.rows)}
+    assert got == want
+    assert s.row_monomials == sorted(want, reverse=True)
+    assert s.columns == sorted({beta for row in want.values() for beta in row},
+                               reverse=True)
+    assert s.basis_rows == reference_greedy_independent(s.rows)
+    assert s.rank == len(reference_greedy_independent(ref_rows))
+
+
+def _window_corpus() -> list[Form]:
+    """The slice corpus plus seeded integer and rational forms in 1-5
+    variables, dense and with a few terms."""
+    rng = random.Random(313)
+    forms = _slice_corpus()
+    for _ in range(10):
+        forms.append(random_form(rng, nvars=rng.randint(1, 4), degree=rng.randint(1, 6)))
+    for _ in range(10):
+        nvars, degree = rng.randint(1, 5), rng.randint(1, 10)
+        forms.append(Form("abcde"[:nvars], degree,
+                          {_random_exponent(rng, nvars, degree): _random_coefficient(rng)
+                           for _ in range(rng.randint(1, 4))}))
+    return forms
+
+
+class TestWindowedBuild:
+    """One pass per window of degrees against the per-degree definition."""
+
+    def test_build_orders_agree_with_definition(self):
+        for f in _window_corpus():
+            d = f.degree
+            whole = _fresh(f)
+            hilbert(whole)
+            split = _fresh(f)
+            maximal_hilbert_through(split, d // 2)
+            catalecticant(split, d)
+            hilbert(split)
+            single = _fresh(f)
+            for k in range(d + 1):
+                catalecticant(single, k)
+            for g in (whole, split, single):
+                for k in range(d + 1):
+                    _assert_slice_is_definition(g, k)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5).filter(any).flatmap(
+        lambda e: st.tuples(st.just(tuple(e)),
+                            st.integers(0, sum(e) + 1), st.integers(0, sum(e) + 1))),
+           st.sampled_from([1, -3, Fraction(2, 5)]))
+    def test_divisors_of_a_window(self, case, scale):
+        e, lo, hi = case
+        got = apolar._divisors(e, lo, hi, scale)
+        want = []
+        for alpha in itertools.product(*(range(ei + 1) for ei in e)):
+            if lo <= sum(alpha) <= hi:
+                want.append((alpha, tuple(x - a for x, a in zip(e, alpha)), sum(alpha),
+                             scale * math.prod(math.perm(x, a) for x, a in zip(e, alpha))))
+        assert sorted(got) == sorted(want)
+        for k in range(lo, hi + 1):
+            assert sorted((alpha, cell) for alpha, _, size, cell in got if size == k) \
+                == sorted((alpha, scale * factor) for alpha, factor in reference_divisors(e, k))
+
+    def test_window_must_hold_the_degree(self):
+        f = parse("x^3*y + y^4", "xy")
+        with pytest.raises(ValueError):
+            catalecticant(f, 3, through=2)
+        with pytest.raises(ValueError):
+            catalecticant(f, 1, through=5)
+        assert f._slices == {}
+
+
+class TestSliceBuilds:
+    """Which catalecticant call builds which slices."""
+
+    TEXT = "x^3*y + 2*y^2*z^2 - z^4 + x*y*z^2"
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """(catalecticant calls so far, k) of each slice built."""
+        calls, built = [], []
+        real = apolar.catalecticant
+
+        class Counted(CatalecticantSlice):
+            def __init__(self, form, k, images):
+                built.append((len(calls), k))
+                super().__init__(form, k, images)
+
+        def counted(f, k, through=None):
+            calls.append(k)
+            return real(f, k, through)
+
+        monkeypatch.setattr(apolar, "CatalecticantSlice", Counted)
+        monkeypatch.setattr(apolar, "catalecticant", counted)
+        return built, calls
+
+    def test_hilbert_builds_each_slice_once_in_one_call(self, builds):
+        built, calls = builds
+        f = parse(self.TEXT, "xyz")
+        hilbert(f)
+        assert built == [(1, k) for k in range(f.degree + 1)]
+        assert len(calls) == f.degree + 1
+        hilbert(f)
+        assert len(built) == f.degree + 1
+
+    def test_one_slice_request_builds_one_slice(self, builds):
+        built, _ = builds
+        f = parse(self.TEXT, "xyz")
+        apolar.catalecticant(f, 1)
+        assert built == [(1, 1)]
+        hilbert(f)
+        assert sorted(k for _, k in built) == list(range(f.degree + 1))
+        assert {call for call, k in built if k != 1} == {2}
+
+    def test_growth_check_builds_its_window(self, builds):
+        built, _ = builds
+        f = parse(self.TEXT, "xyz")
+        maximal_hilbert_through(f, 2)
+        assert built == [(1, 0), (1, 1), (1, 2)]
+
+    def test_conciseness_looks_each_degree_up_once(self, builds):
+        _, calls = builds
+        f = parse("x^41", "x")
+        hilbert(f)
+        del calls[:]
+        assert conciseness(f) == 20
+        assert calls == list(range(21))
+
+    def test_conciseness_matches_the_repeated_scan(self):
+        for f in _window_corpus():
+            assert conciseness(_fresh(f)) == reference_conciseness(_fresh(f))
 
 
 class TestSliceMemo:

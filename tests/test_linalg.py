@@ -195,6 +195,89 @@ class TestSparse:
         assert max_matching([[i, i + 1] for i in range(1500)] + [[0]]) == 1501
 
 
+def _assert_greedy_matches_reference(rows) -> None:
+    """greedy_independent and sparse_rank on rows whose cells may be int,
+    Fraction or explicit zeros, against the reference on the nonzero
+    cells."""
+    want = reference_greedy_independent([{c: v for c, v in row.items() if v}
+                                         for row in rows])
+    assert greedy_independent(rows) == want
+    assert sparse_rank(rows) == len(want)
+
+
+def _cell(rng: random.Random):
+    """A nonzero int, large int or Fraction cell."""
+    return rng.choice([rng.choice([-3, -1, 2, 7]), rng.choice([-1, 1]) * 6 ** 30,
+                       Fraction(rng.choice([-5, 1, 4]), rng.choice([2, 3, 9]))])
+
+
+class TestComponentShortcuts:
+    """Components of one row or one column skip the elimination; rows of
+    int cells skip the denominator scaling."""
+
+    def test_one_row_components(self):
+        rng = random.Random(131)
+        for _ in range(30):
+            rows = []
+            for block in range(rng.randint(1, 6)):
+                cols = rng.sample(range(10 * block, 10 * block + 10), rng.randint(1, 4))
+                rows.append({c: _cell(rng) for c in cols})
+            rows += [{} for _ in range(rng.randint(0, 2))]
+            rng.shuffle(rows)
+            _assert_greedy_matches_reference(rows)
+            assert greedy_independent(rows) == [i for i, row in enumerate(rows) if row]
+
+    def test_one_column_components(self):
+        rng = random.Random(132)
+        for _ in range(30):
+            rows = [{block: _cell(rng)}
+                    for block in range(rng.randint(1, 5))
+                    for _ in range(rng.randint(1, 5))]
+            rng.shuffle(rows)
+            _assert_greedy_matches_reference(rows)
+            first = {}
+            for i, row in enumerate(rows):
+                first.setdefault(next(iter(row)), i)
+            assert greedy_independent(rows) == sorted(first.values())
+
+    def test_explicit_zero_cells(self):
+        rows = [{0: 0}, {1: 0, 2: Fraction(0)}, {3: 0}, {3: 5}, {3: -2},
+                {4: 1, 5: 0}, {6: 0, 7: 0}, {6: 0, 7: 3}]
+        _assert_greedy_matches_reference(rows)
+        assert greedy_independent(rows) == [3, 5, 7]
+
+    def test_mixed_int_and_fraction_rows(self):
+        rng = random.Random(133)
+        for _ in range(40):
+            ncols = rng.randint(2, 6)
+            rows = []
+            for _ in range(rng.randint(2, 7)):
+                kind = rng.choice(["int", "fraction", "mixed"])
+                row = {}
+                for c in range(ncols):
+                    if rng.random() < 0.6:
+                        v = rng.choice([-4, -2, 3, 6, 2 ** 40 * 3])
+                        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                            v = Fraction(v, rng.choice([1, 2, 9]))
+                        row[c] = v
+                rows.append(row)
+            for _ in range(rng.randint(0, 2)):
+                source = rng.choice(rows)
+                factor = rng.choice([6, -1, Fraction(2, 3)])
+                rows.append({c: factor * v for c, v in source.items()})
+            rng.shuffle(rows)
+            _assert_greedy_matches_reference(rows)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.lists(st.dictionaries(
+        st.integers(0, 40),
+        st.one_of(st.integers(-5, 5).filter(bool),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)),
+        min_size=0, max_size=2), min_size=1, max_size=30))
+    def test_property_many_tiny_components(self, rows):
+        _assert_greedy_matches_reference(rows)
+
+
 def sympy_from_poly(p, syms):
     expr = sympy.Integer(0)
     for key, c in p.items():
