@@ -138,6 +138,11 @@ class MixedHessian:
                 for row in self.entries]
 
     @cached_property
+    def scale(self) -> int:
+        """lcm of the entries' coefficient denominators."""
+        return polymat.common_scale(self.entries)
+
+    @cached_property
     def support_bound(self) -> int:
         """Matching number nu of the support, an upper bound on every rank."""
         return linalg.max_matching(self.support)
@@ -182,7 +187,7 @@ def evaluated_rank(hess: MixedHessian, point) -> int:
     lift = math.lcm(*(v.denominator for v in values))
     powers = [[int(v * lift) ** e for e in range(hess.entry_degree + 1)]
               for v in values]
-    scale = polymat.common_scale(hess.entries)
+    scale = hess.scale
     matrix = []
     for entries in hess.entries:
         row = []
@@ -201,7 +206,7 @@ def evaluated_rank(hess: MixedHessian, point) -> int:
 
 
 def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int, int]:
-    scale = polymat.common_scale(hess.entries)
+    scale = hess.scale
     guard = polymat.guard_mask(hess.form.nvars)
     rows = [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
     return rows, scale, guard
@@ -350,9 +355,8 @@ def hessian_determinant(f: Form, k: int,
         raise BudgetExceeded(
             f"symbolic determinant is capped at dimension {policy.max_symbolic_dim}, "
             f"this Hessian is {m}x{m}")
-    scale = polymat.common_scale(hess.entries)
-    rows = [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
-    det = polymat.bareiss_det(rows, polymat.guard_mask(f.nvars))
+    rows, scale, guard = _symbolic_rows(hess)
+    det = polymat.bareiss_det(rows, guard)
     return polymat.to_form(det, f.variables, divide=scale ** m)
 
 

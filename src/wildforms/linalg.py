@@ -1,21 +1,21 @@
 """Exact linear algebra over the rationals.
 
 One integer eliminator, Bareiss fraction-free forward elimination,
-serves dense rank, sparse rank and the greedy-first basis: rows are
-scaled to integers first, so no rounding exists anywhere.  Sparse
-matrices are split into connected components of the row/column
-incidence graph and each component is reduced transposed, one line per
-column, so the pivot columns are the greedy-first independent rows;
-catalecticant slices of bi-graded forms are block diagonal under that
-split, which keeps the large cases small.  A component of one row
-keeps that row, and one of one column keeps its first row, since its
-rows are nonzero multiples of each other; neither is eliminated.  Each
-other component is divided by the gcd of every row and of every column
-before elimination, which keeps Bareiss' coefficient growth down; rows
-of plain ints skip the denominator scaling.  Kernels and solves use
-``rref``, fraction-free Gauss-Jordan on the same integer rows with a
-gcd division per updated row; only its final pivot division makes
-Fractions.
+serves dense rank, sparse rank, the greedy-first basis, kernels and
+solves: rows are scaled to integers first, so no rounding exists
+anywhere.  Sparse matrices are split into connected components of the
+row/column incidence graph and each component is reduced transposed,
+one line per column, so the pivot columns are the greedy-first
+independent rows; catalecticant slices of bi-graded forms are block
+diagonal under that split, which keeps the large cases small.  A
+component of one row keeps that row, and one of one column keeps its
+first row, since its rows are nonzero multiples of each other; neither
+is eliminated.  Each other component is divided by the gcd of every
+row and of every column before elimination, which keeps Bareiss'
+coefficient growth down; rows of plain ints skip the denominator
+scaling.  Kernels and solves back-substitute through the echelon rows
+from the last pivot, as ``polymat.kernel_vector`` does over Z[x]; only
+the final division by that pivot makes Fractions.
 """
 
 from __future__ import annotations
@@ -72,84 +72,60 @@ def rank(matrix: Matrix) -> int:
     return len(_bareiss_forward([_int_row(row) for row in matrix]))
 
 
-def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and its pivot columns.
+def _kernel(matrix: Matrix, ncols: int) -> tuple[dict[int, list[int]], int]:
+    """Integer right-kernel vectors by free column, and their divisor p.
 
-    Fraction-free Gauss-Jordan on the rows scaled to integers: each
-    updated row is divided by the gcd of its entries, and each pivot
-    row by its pivot once at the end.  The reduced echelon form is
-    unique, so this is the one Fraction elimination would give.
+    ``_bareiss_forward`` on the rows scaled to integers leaves echelon
+    rows whose last pivot p is, up to sign, the determinant of the
+    pivot block (p = 1 at rank zero).  The vector of free column c has
+    p at c and 0 at the other free columns; back substitution through
+    the echelon rows fills its pivot entries, and by Cramer's rule each
+    division is exact.  Divided by p it is the reduced-echelon kernel
+    vector of c.
     """
     rows = [_int_row(row) for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    pivots = _bareiss_forward(rows)
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    taken = set(pivots)
+    vectors = {}
+    for c in range(ncols):
+        if c in taken:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        base = rows[r]
-        piv = base[c]
-        for i in range(m):
-            f = rows[i][c]
-            if i == r or not f:
-                continue
-            row = [piv * v - f * b for v, b in zip(rows[i], base)]
-            g = math.gcd(*row)
-            rows[i] = [v // g for v in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    reduced = [[Fraction(v, rows[i][c]) for v in rows[i]]
-               for i, c in enumerate(pivots)]
-    reduced += [[Fraction(0)] * n for _ in range(r, m)]
-    return reduced, pivots
+        v = [0] * ncols
+        v[c] = p
+        for i in range(len(pivots) - 1, -1, -1):
+            row = rows[i]
+            acc = row[c] * p
+            for pc in pivots[i + 1:]:
+                acc += row[pc] * v[pc]
+            v[pivots[i]] = -acc // row[pivots[i]]
+        vectors[c] = v
+    return vectors, p
 
 
 def nullspace(matrix: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel, reduced echelon shaped, by free column."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
-        basis.append(v)
-    return basis
+    vectors, p = _kernel(matrix, len(matrix[0]) if matrix else 0)
+    return [[Fraction(x, p) for x in v] for v in vectors.values()]
 
 
 def solve_columns(columns: Sequence[Sequence[Fraction | int]],
                   target: Sequence[Fraction | int]) -> list[Fraction] | None:
     """Coefficients c with sum c_j * column_j = target, or None.
 
-    Free coordinates, if any, are set to zero.
+    Free coordinates, if any, are set to zero: the answer is the kernel
+    vector of the target's column in [columns | target], scaled to -1
+    there.  A pivot there means the target is not in the span.
     """
     m = len(target)
     if any(len(col) != m for col in columns):
         raise ValueError("column length mismatch")
-    aug = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
-           for i in range(m)]
-    reduced, pivots = rref(aug)
     k = len(columns)
-    if k in pivots:
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(m)]
+    vectors, p = _kernel(aug, k + 1)
+    if k not in vectors:
         return None
-    out = [Fraction(0)] * k
-    for i, pc in enumerate(pivots):
-        out[pc] = reduced[i][k]
-    return out
+    return [Fraction(-x, p) for x in vectors[k][:k]]
 
 
 def sparse_rank(rows: Sequence[dict[int, Fraction | int]]) -> int:

@@ -16,6 +16,7 @@ rational functions in sight.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .poly import Form
@@ -145,7 +146,6 @@ def to_form(p: Poly, variables: Sequence[str], divide: int = 1) -> "Form | None"
 
 def common_scale(entries) -> int:
     """lcm of all coefficient denominators across a matrix of Forms."""
-    from math import lcm
     scale = 1
     for row in entries:
         for f in row:

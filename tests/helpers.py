@@ -380,6 +380,34 @@ def reference_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
+def reference_nullspace(matrix) -> list[list[Fraction]]:
+    """Right-kernel basis read off ``reference_rref``, one vector per free column."""
+    n = len(matrix[0]) if matrix else 0
+    reduced, pivots = reference_rref(matrix)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced[i][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve_columns(columns, target) -> list[Fraction] | None:
+    """Solution read off ``reference_rref`` of [columns | target], free
+    coordinates zero; None when the target column is a pivot."""
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    reduced, pivots = reference_rref(aug)
+    k = len(columns)
+    if k in pivots:
+        return None
+    out = [Fraction(0)] * k
+    for i, pc in enumerate(pivots):
+        out[pc] = reduced[i][k]
+    return out
+
+
 def reference_sylvester_resultant(a: list[Poly], b: list[Poly],
                                   guard: int) -> Poly:
     """Resultant of two binary forms given by descending coefficient lists."""

@@ -27,11 +27,13 @@ from wildforms.apolar import (
 from wildforms import linalg
 from wildforms.families import build
 from wildforms.hessian import mixed_hessian
-from wildforms.poly import Form, LinearForm, apply, monomial, monomials, parse, power
+from wildforms.poly import (Form, LinearForm, apply, constant, monomial, monomials,
+                            multiply, parse, power)
 
-from helpers import (oracle_hilbert, random_form, reference_catalecticant,
-                     reference_conciseness, reference_divisors,
-                     reference_greedy_independent)
+from helpers import (oracle_hilbert, random_form, random_linear,
+                     reference_catalecticant, reference_conciseness,
+                     reference_divisors, reference_greedy_independent,
+                     reference_nullspace)
 
 
 class TestHilbertFrozenValues:
@@ -225,6 +227,16 @@ def _slice_corpus() -> list[Form]:
     return forms
 
 
+def _reference_kernel_basis(f: Form, k: int) -> list[Form]:
+    """The degree-k annihilator slice read off reference_rref of the
+    transposed definition, one form per free row monomial."""
+    row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
+    transpose = [[row.get(j, Fraction(0)) for row in ref_rows]
+                 for j in range(len(col_monos))]
+    return [Form(f.variables, k, {row_monos[i]: c for i, c in enumerate(v) if c})
+            for v in reference_nullspace(transpose)]
+
+
 class TestSliceAgainstDefinition:
     """Term-driven slices and slice-read Hessians against the definition."""
 
@@ -262,6 +274,25 @@ class TestSliceAgainstDefinition:
                     for b, entry in zip(h.col_basis.monomials, line):
                         op = monomial(f.variables, tuple(x + y for x, y in zip(a, b)))
                         assert entry == apply(op, f)
+
+
+class TestKernelBasisAgainstReference:
+    def test_binary_forms_and_products(self):
+        """Every slice of seeded rational binary forms and of l1^a*l2^b."""
+        rng = random.Random(577)
+        forms = []
+        for _ in range(25):
+            degree = rng.randint(1, 9)
+            terms = {(degree - i, i): _random_coefficient(rng)
+                     for i in range(degree + 1) if rng.random() < 0.7}
+            forms.append(Form("xy", degree, terms or {(degree, 0): 1}))
+        for _ in range(25):
+            l1, l2 = (random_linear(rng, "xy", (-3, 3)) for _ in range(2))
+            product = multiply(power(l1, rng.randint(1, 5)), power(l2, rng.randint(1, 5)))
+            forms.append(multiply(constant("xy", _random_coefficient(rng)), product))
+        for f in forms:
+            for k in range(f.degree + 1):
+                assert catalecticant(f, k).kernel_basis == _reference_kernel_basis(f, k)
 
 
 def _fresh(f: Form) -> Form:

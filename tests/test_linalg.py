@@ -17,14 +17,14 @@ from wildforms.linalg import (
     max_matching,
     nullspace,
     rank,
-    rref,
     solve_columns,
     sparse_rank,
 )
 
 from helpers import (reference_bareiss_det, reference_bareiss_jordan,
                      reference_greedy_independent, reference_kernel_vector,
-                     reference_matching, reference_rref)
+                     reference_matching, reference_nullspace,
+                     reference_solve_columns)
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -60,13 +60,14 @@ class TestDenseAgainstSympy:
             for v in basis:
                 assert mat * sympy.Matrix(n, 1, v) == sympy.zeros(m, 1)
 
-    def test_rref_pivots(self):
+    def test_nullspace_pivots(self):
         a = [[Fraction(v) for v in row]
              for row in [[1, 2, 3], [2, 4, 6], [0, 0, 5]]]
-        reduced, pivots = rref(a)
-        assert pivots == [0, 2]
-        assert reduced[0] == [1, 2, 0]
-        assert reduced[1] == [0, 0, 1]
+        # pivots 0 and 2, so one kernel vector, at free column 1
+        assert nullspace(a) == [[-2, 1, 0]]
+        first, second, third = ([row[j] for row in a] for j in range(3))
+        assert solve_columns([first, third], second) == [2, 0]
+        assert solve_columns([first, second], third) is None
 
 
 class TestSolveColumns:
@@ -413,6 +414,23 @@ def hessian_rows(f, k, l):
     return [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
 
 
+@st.composite
+def poly_rows(draw, shape):
+    """A matrix of two-variable polynomials, sometimes with a last row
+    that is a polynomial combination of two others."""
+    m, n = draw(shape)
+    entry = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).map(polymat.pack),
+        st.integers(-4, 4).filter(bool), max_size=3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m >= 3 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [polymat.padd(polymat.pmul(a, u), polymat.pmul(b, v))
+                    for u, v in zip(rows[0], rows[1])]
+    return rows
+
+
 def assert_matches_reference(rows, guard):
     got = polymat.bareiss_jordan(rows, guard)
     want = reference_bareiss_jordan(rows, guard)
@@ -457,6 +475,11 @@ class TestJordanAgainstReference:
             result = assert_matches_reference(
                 [[{} for _ in range(n)] for _ in range(m)], guard)
             assert result.rank == 0
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(poly_rows(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    def test_property_small_matrices(self, rows):
+        assert_matches_reference(rows, polymat.guard_mask(2))
 
     @pytest.mark.parametrize("spec,seed,k,l", [
         ("perazzo", 0, 1, 1),
@@ -526,6 +549,11 @@ class TestDetAgainstReference:
         for entry in ({}, {0: 7}, {polymat.pack((1, 2)): -3, 0: 1}):
             assert assert_det_matches_reference([[entry]], guard) == entry
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(poly_rows(st.integers(0, 4).map(lambda n: (n, n))))
+    def test_property_small_matrices(self, rows):
+        assert_det_matches_reference(rows, polymat.guard_mask(2))
+
     @pytest.mark.parametrize("spec,k,vanishes", [
         ("fermat", 1, False),
         ("perazzo", 1, True),
@@ -568,15 +596,23 @@ def _rational_matrix(rng, m, n, density=0.7):
              for _ in range(n)] for _ in range(m)]
 
 
-def _assert_rref_matches_reference(a):
+def _assert_kernel_matches_reference(a):
+    """nullspace, and solve_columns for each column against the columns
+    before it and against all the others, equal what reference_rref gives."""
     before = [list(row) for row in a]
-    reduced, pivots = rref(a)
-    assert (reduced, pivots) == reference_rref(a)
-    assert all(type(v) is Fraction for row in reduced for v in row)
+    basis = nullspace(a)
+    assert basis == reference_nullspace(a)
+    assert all(type(v) is Fraction for row in basis for v in row)
+    columns = [[row[j] for row in a] for j in range(len(a[0]) if a else 0)]
+    for j, target in enumerate(columns):
+        for others in (columns[:j], columns[:j] + columns[j + 1:]):
+            got = solve_columns(others, target)
+            assert got == reference_solve_columns(others, target)
+            assert got is None or all(type(v) is Fraction for v in got)
     assert a == before
 
 
-class TestRrefAgainstReference:
+class TestKernelAgainstReference:
     def test_seeded_shapes(self):
         rng = random.Random(937)
         for _ in range(150):
@@ -590,7 +626,7 @@ class TestRrefAgainstReference:
                 a.insert(rng.randrange(len(a) + 1), [Fraction(0)] * n)
             if rng.random() < 0.3:  # integer and mixed cells
                 a = [[int(v) if v.denominator == 1 else v for v in row] for row in a]
-            _assert_rref_matches_reference(a)
+            _assert_kernel_matches_reference(a)
 
     def test_tall_wide_and_degenerate(self):
         rng = random.Random(941)
@@ -599,14 +635,15 @@ class TestRrefAgainstReference:
         low_rank = [[Fraction(u * v, 7) for v in range(1, 6)] for u in range(-2, 4)]
         for a in (tall, wide, low_rank, [[0, 0, 0], [0, 0, 0]], [[5]],
                   [[Fraction(-2, 3)]], [[]], []):
-            _assert_rref_matches_reference(a)
-        assert rref([]) == ([], [])
-        assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
-        assert rref(low_rank)[1] == [0]
+            _assert_kernel_matches_reference(a)
+        assert nullspace([]) == []
+        assert nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+        assert len(nullspace(low_rank)) == 4
+        assert solve_columns([[], []], []) == [0, 0]
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
         st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=10),
                  min_size=n, max_size=n), min_size=1, max_size=5)))
     def test_property_small_rational(self, a):
-        _assert_rref_matches_reference(a)
+        _assert_kernel_matches_reference(a)

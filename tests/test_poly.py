@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildforms.poly import (
     Form,
@@ -44,6 +46,23 @@ class TestParseRender:
         for _ in range(40):
             f = random_form(rng)
             assert parse(render(f), f.variables) == f
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(st.data())
+    def test_property_round_trip(self, data):
+        names = data.draw(st.lists(st.sampled_from(
+            ["x", "y", "z", "w", "u1", "v_2", "t10"]), min_size=1, max_size=4,
+            unique=True))
+        degree = data.draw(st.integers(0, 5))
+        terms = data.draw(st.dictionaries(
+            st.sampled_from(monomials(len(names), degree)),
+            st.one_of(st.integers(-30, 30), st.fractions(
+                min_value=-30, max_value=30, max_denominator=40)).filter(bool),
+            min_size=1, max_size=6))
+        f = make_form(names, terms)
+        text = render(f)
+        assert parse(text, names) == f
+        assert render(parse(text, names)) == text
 
     def test_zero_parses_to_none(self):
         assert parse("0", "xy") is None
