@@ -7,17 +7,19 @@ left kernel is the degree-k slice of the annihilator.  Slices are built
 from the form's terms, never by enumerating the monomial spaces, and
 each is computed once per form: ``catalecticant``, the only builder,
 keeps it on the Form object, so it lives exactly as long as the form.
-A request for a window of degrees 0..through (``hilbert`` asks for all
-of them) builds every missing slice of the window from one pass over
-each term's divisors, with the exponent tuples of that pass interned,
-so a slice's columns share their tuples with another slice's rows; a
-single-degree request enumerates only that degree.  A slice links back
-to its form only weakly, so the form and its slices make no reference
-cycle and are freed by reference counting as soon as the form is
-dropped.  Integer coefficients give plain ``int`` cells.  One exact
-elimination per slice gives both its rank and its greedy-first basis
-rows, which ``apolar_basis`` reads off the slice; see linalg for the
-details.
+A request for a window of degrees 0..through (``hilbert`` asks for
+0..d/2 and mirrors the rest) builds every missing slice of the window
+from one pass over each term's divisors, with the exponent tuples of
+that pass interned, so a slice's columns share their tuples with
+another slice's rows; a single-degree request enumerates only that
+degree.  A slice links back to its form only weakly, so the form and
+its slices make no reference cycle and are freed by reference counting
+as soon as the form is dropped.  Integer coefficients give plain
+``int`` cells.  A slice is eliminated only when its rank or basis rows
+are first read, and then once: that one exact elimination gives both,
+and ``apolar_basis`` reads the rows off the slice (see linalg for the
+details).  Slices read only for their images, such as a mixed
+Hessian's slice k+l, are never eliminated.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ class CatalecticantSlice:
     columns into ``columns``, the nonzero columns, graded-lex descending.
     A cell is an ``int`` when its value is an integer and a Fraction
     otherwise.  ``basis_rows`` are the greedy-first independent rows in
-    that order, and the rank is their count.
+    that order, and the rank is their count; both come from one
+    elimination, run when either is first read.
 
     The slice keeps the form's ``variables`` and ``degree`` and holds
     the form itself only through a weak reference (``form`` is None once
@@ -127,8 +130,15 @@ class CatalecticantSlice:
         self.rows: list[dict[int, Fraction | int]] = [
             {col_index[beta]: c for beta, c in images[alpha].items()}
             for alpha in self.row_monomials]
-        self.basis_rows = linalg.greedy_independent(self.rows)
-        self.rank = len(self.basis_rows)
+
+    @cached_property
+    def basis_rows(self) -> list[int]:
+        """Indices of the greedy-first independent rows, eliminated on first read."""
+        return linalg.greedy_independent(self.rows)
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.basis_rows)
 
     @property
     def form(self) -> Form | None:
@@ -214,10 +224,19 @@ class HilbertFunction(tuple):
 
 
 def hilbert(f: Form) -> HilbertFunction:
-    """Exact Hilbert function, every slice rank computed independently."""
+    """Exact Hilbert function from the slices of degree at most d/2.
+
+    A term c*x^e puts c*e!/beta! at (alpha, beta) of slice k and
+    c*e!/alpha! at (beta, alpha) of slice d-k, so slice d-k is slice k
+    transposed, with each row beta scaled by beta! and each column alpha
+    by 1/alpha!: invertible diagonals, which keep the rank.  Hence
+    h_{d-k} = h_k, the Gorenstein symmetry of the apolar algebra, and
+    the upper half is the lower half mirrored.
+    """
     require_analysis_form(f)
     d = f.degree
-    return HilbertFunction(catalecticant(f, k, through=d).rank for k in range(d + 1))
+    half = [catalecticant(f, k, through=d // 2).rank for k in range(d // 2 + 1)]
+    return HilbertFunction(half + half[:(d + 1) // 2][::-1])
 
 
 def is_unimodal(values) -> bool:

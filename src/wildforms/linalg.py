@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals.
 
 One integer eliminator, Bareiss fraction-free forward elimination,
-serves dense rank, sparse rank, the greedy-first basis, kernels and
-solves: rows are scaled to integers first, so no rounding exists
-anywhere.  Sparse matrices are split into connected components of the
+serves rank, the greedy-first basis, kernels and solves: rows are
+scaled to integers first, so no rounding exists anywhere.  Rank has
+one route: a dense matrix is read as the sparse rows of its nonzero
+cells.  Sparse rows are split into connected components of the
 row/column incidence graph and each component is reduced transposed,
 one line per column, so the pivot columns are the greedy-first
-independent rows; catalecticant slices of bi-graded forms are block
-diagonal under that split, which keeps the large cases small.  A
-component of one row keeps that row, and one of one column keeps its
-first row, since its rows are nonzero multiples of each other; neither
-is eliminated.  Each other component is divided by the gcd of every
-row and of every column before elimination, which keeps Bareiss'
-coefficient growth down; rows of plain ints skip the denominator
-scaling.  Kernels and solves back-substitute through the echelon rows
-from the last pivot, as ``polymat.kernel_vector`` does over Z[x]; only
-the final division by that pivot makes Fractions.
+independent rows; catalecticant slices of bi-graded forms and the
+evaluated Hessians of sparse forms are block diagonal under that
+split, which keeps the large cases small.  A component of one row
+keeps that row, and one of one column keeps its first row, since its
+rows are nonzero multiples of each other; neither is eliminated.  Each
+other component is divided by the gcd of every row and of every column
+before elimination, which keeps Bareiss' coefficient growth down; rows
+of plain ints skip the denominator scaling.  Kernels and solves
+back-substitute through the echelon rows from the last pivot, as
+``polymat.kernel_vector`` does over Z[x]; only the final division by
+that pivot makes Fractions.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _bareiss_forward(rows: list[list[int]]) -> list[int]:
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_bareiss_forward([_int_row(row) for row in matrix]))
+    """Rank of a dense matrix, eliminated by incidence components."""
+    return sparse_rank([{j: v for j, v in enumerate(row) if v} for row in matrix])
 
 
 def _kernel(matrix: Matrix, ncols: int) -> tuple[dict[int, list[int]], int]:

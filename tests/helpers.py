@@ -349,6 +349,39 @@ def reference_certify_rank_deficient(f: Form, l: int, s: int, bound: int,
     return None
 
 
+def reference_rank(matrix) -> int:
+    """Rank by one fraction-free Bareiss pass over the whole dense matrix.
+
+    The route ``linalg.rank`` took before it split matrices into
+    incidence components: each row is scaled to integers by the lcm of
+    its denominators, and nothing is divided out or skipped.
+    """
+    rows = []
+    for row in matrix:
+        values = [Fraction(x) for x in row]
+        scale = math.lcm(*(v.denominator for v in values)) if values else 1
+        rows.append([int(v * scale) for v in values])
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r, prev = 0, 1
+    for c in range(n):
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv, base = rows[r][c], rows[r]
+        for i in range(r + 1, m):
+            row, f = rows[i], rows[i][c]
+            for j in range(c + 1, n):
+                row[j] = (piv * row[j] - f * base[j]) // prev
+            row[c] = 0
+        prev = piv
+        r += 1
+    return r
+
+
 def reference_rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and its pivot columns."""
     rows = [[Fraction(x) for x in row] for row in matrix]

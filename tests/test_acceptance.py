@@ -255,6 +255,10 @@ def test_acceptance_8_hilbert_symmetry():
         h = hilbert(f)
         if not h.is_symmetric:
             checks.append((f"asymmetric {f}", False))
+        # hilbert mirrors slices 0..d/2, so each upper slice is ranked alone
+        for j in range(f.degree // 2 + 1, f.degree + 1):
+            if catalecticant(f, j).rank != h[f.degree - j]:
+                checks.append((f"upper slice {j} of {f}", False))
         if h[1] < f.nvars:
             degenerate_seen += 1
         if i % 100 == 0:

@@ -27,6 +27,7 @@ from wildforms.apolar import (
 from wildforms import linalg
 from wildforms.families import build
 from wildforms.hessian import mixed_hessian
+from wildforms.powersum import binary_waring_rank
 from wildforms.poly import (Form, LinearForm, apply, constant, monomial, monomials,
                             multiply, parse, power)
 
@@ -74,13 +75,32 @@ class TestHilbertProperties:
             f = random_form(rng)
             assert tuple(hilbert(f)) == oracle_hilbert(f)
 
+    @staticmethod
+    def _assert_upper_slices_mirror(f: Form) -> None:
+        """hilbert reads only slices 0..d/2; each upper slice, built and
+        eliminated alone, must have the rank the mirror gave it."""
+        h = hilbert(f)
+        d = f.degree
+        assert len(h) == d + 1 and h.is_symmetric
+        assert all(2 * k <= d for k in f._slices)
+        for j in range(d // 2 + 1, d + 1):
+            assert catalecticant(f, j).rank == h[d - j]
+        assert h[0] == 1 and h[d] == 1
+
     def test_symmetry_random(self):
         rng = random.Random(302)
         for _ in range(60):
-            f = random_form(rng, nvars=rng.randint(2, 4))
-            h = hilbert(f)
-            assert h.is_symmetric
-            assert h[0] == 1 and h[f.degree] == 1
+            self._assert_upper_slices_mirror(random_form(rng, nvars=rng.randint(2, 4)))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 7).flatmap(
+        lambda d: st.dictionaries(
+            st.sampled_from(monomials(n, d)),
+            st.one_of(st.integers(-30, 30), st.fractions(
+                min_value=-5, max_value=5, max_denominator=12)).filter(bool),
+            min_size=1, max_size=8).map(lambda terms: Form("xyzw"[:n], d, terms)))))
+    def test_property_symmetry(self, f):
+        self._assert_upper_slices_mirror(f)
 
     def test_unimodal_predicate(self):
         assert is_unimodal([1, 3, 5, 5, 3, 1])
@@ -256,14 +276,24 @@ class TestSliceAgainstDefinition:
             image = s.image(e)
             assert ({} if image is None else image.terms) == \
                 {col_monos[j]: c for j, c in row.items()}
-        transpose = [[row.get(j, Fraction(0)) for row in ref_rows]
-                     for j in range(len(col_monos))]
-        kernel = [Form(f.variables, k, {row_monos[i]: c for i, c in enumerate(v) if c})
-                  for v in linalg.nullspace(transpose)]
-        assert s.rank == len(row_monos) - len(kernel)
-        assert s.kernel_basis == kernel
         kept = reference_greedy_independent(ref_rows)
+        assert s.rank == len(kept)
         assert apolar_basis(f, k).monomials == tuple(row_monos[i] for i in kept)
+        # the reduced-echelon kernel: it annihilates every column of the
+        # definition, is the identity on the rows greedy elimination leaves
+        # free, and has one vector per free row
+        taken = set(kept)
+        free = [i for i in range(len(row_monos)) if i not in taken]
+        kernel = s.kernel_basis
+        assert len(kernel) == len(row_monos) - len(kept)
+        for t, op in enumerate(kernel):
+            coords = [op.terms.get(e, 0) for e in row_monos]
+            image: dict[int, Fraction] = {}
+            for c, row in zip(coords, ref_rows):
+                for j, v in row.items():
+                    image[j] = image.get(j, 0) + c * v
+            assert not any(image.values())
+            assert [coords[i] for i in free] == [int(u == t) for u in range(len(free))]
 
     @staticmethod
     def _check_hessians(f: Form) -> None:
@@ -406,10 +436,11 @@ class TestSliceBuilds:
         built, calls = builds
         f = parse(self.TEXT, "xyz")
         hilbert(f)
-        assert built == [(1, k) for k in range(f.degree + 1)]
-        assert len(calls) == f.degree + 1
+        half = f.degree // 2
+        assert built == [(1, k) for k in range(half + 1)]
+        assert len(calls) == half + 1
         hilbert(f)
-        assert len(built) == f.degree + 1
+        assert len(built) == half + 1
 
     def test_one_slice_request_builds_one_slice(self, builds):
         built, _ = builds
@@ -417,8 +448,18 @@ class TestSliceBuilds:
         apolar.catalecticant(f, 1)
         assert built == [(1, 1)]
         hilbert(f)
-        assert sorted(k for _, k in built) == list(range(f.degree + 1))
+        assert sorted(k for _, k in built) == list(range(f.degree // 2 + 1))
         assert {call for call, k in built if k != 1} == {2}
+
+    def test_upper_slice_built_alone_when_asked(self, builds):
+        built, calls = builds
+        f = parse(self.TEXT, "xyz")
+        hilbert(f)
+        assert all(2 * k <= f.degree for _, k in built)
+        for j in range(f.degree // 2 + 1, f.degree + 1):
+            apolar.catalecticant(f, j)
+            assert built[-1] == (len(calls), j)
+        assert len(built) == f.degree + 1
 
     def test_growth_check_builds_its_window(self, builds):
         built, _ = builds
@@ -437,6 +478,50 @@ class TestSliceBuilds:
     def test_conciseness_matches_the_repeated_scan(self):
         for f in _window_corpus():
             assert conciseness(_fresh(f)) == reference_conciseness(_fresh(f))
+
+
+class TestSliceEliminations:
+    """Which slices ``greedy_independent`` eliminates, and how often."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        """The rows of each slice greedy_independent was called on."""
+        seen = []
+        real = linalg.greedy_independent
+
+        def counted(rows):
+            seen.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "greedy_independent", counted)
+        return seen
+
+    def test_mixed_hessian_eliminates_only_its_bases(self, eliminated):
+        f = parse(TestSliceBuilds.TEXT, "xyz")
+        mixed_hessian(f, 1, 2)
+        assert sorted(f._slices) == [1, 2, 3]
+        assert len(eliminated) == 2
+        assert eliminated[0] is f._slices[1].rows and eliminated[1] is f._slices[2].rows
+
+    def test_binary_rank_eliminates_no_slice(self, eliminated):
+        f = parse("x^5 + 3*x^2*y^3 - 2*x*y^4 + y^5", "xy")
+        assert binary_waring_rank(f) == 3
+        assert f._slices
+        assert eliminated == []
+
+    def test_each_slice_eliminated_at_most_once(self, eliminated):
+        f = parse(TestSliceBuilds.TEXT, "xyz")
+        hilbert(f)
+        conciseness(f)
+        for k in range(f.degree + 1):
+            apolar_basis(f, k)
+            catalecticant(f, k).rank
+            for l in range(f.degree + 1 - k):
+                mixed_hessian(f, k, l)
+        hilbert(f)
+        slices = list(f._slices.values())
+        assert len(eliminated) == len(slices) == f.degree + 1
+        assert sorted(map(id, eliminated)) == sorted(id(s.rows) for s in slices)
 
 
 class TestSliceMemo:

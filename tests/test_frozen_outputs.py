@@ -6,8 +6,10 @@ in ``tests/data/frozen_outputs.json``.  The corpus covers both cactus
 routes (slice rank, support matching, a full-support Hessian whose
 deficiency the rank ladder certifies with a kernel witness, and dense
 forms whose Hessian is certified full rank by one evaluation), a
-certificate whose strategy order exceeds the form's conciseness,
-rational coefficients, ``hessian`` with k = l and k < l, ``lefschetz``
+certificate whose strategy order exceeds the form's conciseness, one
+whose evaluated Hessian splits into many incidence components,
+rational coefficients, ``hilbert`` of odd and even degree,
+``hessian`` with k = l and k < l, ``lefschetz``
 with sampled and given (rational) elements, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
 symbolic kernel member decides, up to four parameters.
@@ -20,8 +22,10 @@ which reads kernel witnesses off matching closures, and
 ``analyze --family ikeda``, ``analyze --poly`` of the sheared perazzo
 cubic and ``analyze --family monomial-spread(1,3)`` by the child of
 commit 6dd5c24, which settles every cactus claim by support matching
-or the rank ladder and reports the form's own conciseness), from the
-root of its checkout with this file copied in:
+or the rank ladder and reports the form's own conciseness, and the two
+``hilbert`` digests and ``analyze --family monomial-spread(1,6)`` by
+commit cc81983, whose ``hilbert`` still eliminated every slice), from
+the root of its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -50,6 +54,10 @@ DENSE_QUATERNARY_QUARTIC = ("x^4 + 2*y^4 - 3*z^4 + w^4 + x*y*z*w + x^2*y*z"
 RATIONAL_CUBIC = "1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3 - 2/5*x*z^2"
 SHEARED_PERAZZO = ("x^3 + 2*x^2*u + x*y^2 + x*y*v + x*u^2 + y^2*z + y^2*u"
                    " + 2*y*z*v + y*u*v + z*v^2")
+RATIONAL_QUINTIC = ("1/2*x^5 - 2/3*x^3*y*z + 3/4*x*y^2*z^2 + y^5 - 5/7*y*z^4"
+                    " + 2/9*x^2*w^3")
+RATIONAL_SEXTIC = ("3/5*x^6 + x^3*y^3 - 7/2*x^2*y^2*z^2 + 1/3*y^6 - 4/9*x*z^5"
+                   " + y^4*z^2")
 BINARY_SEXTIC = ("243*x^6 + 81*x^5*y - 540*x^4*y^2 + 450*x^3*y^3"
                  " - 165*x^2*y^4 + 29*x*y^5 - 2*y^6")
 BINARY_OCTIC = ("4*x^8 + 68*x^7*y + 469*x^6*y^2 + 1638*x^5*y^3 + 2835*x^4*y^4"
@@ -70,6 +78,11 @@ COMMANDS = [
     ("analyze", "--poly", SHEARED_PERAZZO, "--vars", "x,y,z,u,v"),
     # the strategy's order 3 exceeds the form's conciseness 2
     ("analyze", "--family", "monomial-spread(1,3)"),
+    # its Hessian splits into 49 incidence components
+    ("analyze", "--family", "monomial-spread(1,6)"),
+    # odd and even degree: the upper half of the vector mirrors the lower
+    ("hilbert", "--poly", RATIONAL_QUINTIC, "--vars", "x,y,z,w"),
+    ("hilbert", "--poly", RATIONAL_SEXTIC, "--vars", "x,y,z"),
     ("hessian", "--family", "perazzo", "--k", "1"),
     ("hessian", "--poly", RATIONAL_CUBIC, "--vars", "x,y,z", "--k", "1"),
     ("hessian", "--family", "ikeda", "--k", "1", "--l", "2"),

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildforms import polymat
+from wildforms.families import build
+from wildforms.hessian import evaluated_rank, mixed_hessian
 from wildforms.linalg import (
     greedy_independent,
     matching,
@@ -23,7 +25,7 @@ from wildforms.linalg import (
 
 from helpers import (reference_bareiss_det, reference_bareiss_jordan,
                      reference_greedy_independent, reference_kernel_vector,
-                     reference_matching, reference_nullspace,
+                     reference_matching, reference_nullspace, reference_rank,
                      reference_solve_columns)
 
 
@@ -194,6 +196,69 @@ class TestSparse:
     def test_matching_follows_a_long_augmenting_path(self):
         # the last row reroutes all 1500 rows before it, one column over
         assert max_matching([[i, i + 1] for i in range(1500)] + [[0]]) == 1501
+
+
+def _block_diagonal(rng: random.Random) -> tuple[list[list], int]:
+    """Seeded blocks on the diagonal, some of them rank deficient, with
+    rows and columns permuted; returns the matrix and its rank."""
+    blocks, want = [], 0
+    for _ in range(rng.randint(1, 6)):
+        m, n, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[_cell(rng) if rng.random() < 0.7 else 0 for _ in range(inner)]
+             for _ in range(m)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)]
+        block = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        blocks.append(block)
+        want += reference_rank(block)
+    ncols = sum(len(block[0]) for block in blocks)
+    matrix, offset = [], 0
+    for block in blocks:
+        for row in block:
+            line = [0] * ncols
+            line[offset:offset + len(row)] = row
+            matrix.append(line)
+        offset += len(block[0])
+    rng.shuffle(matrix)
+    order = list(range(ncols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in matrix], want
+
+
+class TestRankAgainstReference:
+    """``rank`` by incidence components against one dense Bareiss pass."""
+
+    def test_permuted_block_diagonal(self):
+        rng = random.Random(151)
+        for _ in range(60):
+            matrix, want = _block_diagonal(rng)
+            assert reference_rank(matrix) == want
+            assert rank(matrix) == want
+            as_fractions = [[Fraction(v) for v in row] for row in matrix]
+            assert rank(as_fractions) == want
+
+    def test_int_fraction_zero_and_empty(self):
+        rng = random.Random(152)
+        for _ in range(40):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            ints = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(m)]
+            fractions = random_matrix(rng, m, n, density=0.4)
+            for a in (ints, fractions, [[Fraction(v, 3) for v in row] for row in ints]):
+                assert rank(a) == reference_rank(a)
+        for a in ([], [[]], [[], []], [[0, 0], [0, 0]], [[Fraction(0)] * 3],
+                  [[0], [0], [0]], [[7]], [[Fraction(-2, 9)]]):
+            assert rank(a) == reference_rank(a)
+
+    def test_evaluated_spread_hessian(self):
+        """Hess^(8,8) of monomial-spread(1,8): 165 x 165, 425 nonzeros."""
+        hess = mixed_hessian(build("monomial-spread(1,8)").form, 8, 8)
+        matrix = [[0 if e is None else e.evaluate((2, 3, 5, 7)) for e in row]
+                  for row in hess.entries]
+        assert (len(matrix), len(matrix[0])) == (165, 165)
+        assert sum(map(bool, (v for row in matrix for v in row))) == 425
+        want = reference_rank(matrix)
+        assert rank(matrix) == want
+        assert evaluated_rank(hess, (2, 3, 5, 7)) == want
 
 
 def _assert_greedy_matches_reference(rows) -> None:
