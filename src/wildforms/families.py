@@ -19,6 +19,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .apolar import maximal_hilbert_through
 from .bounds import CertificateStrategy
@@ -65,29 +66,23 @@ def _xvar_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, count + 1))
 
 
-def _build_perazzo(seed: int) -> FamilyResult:
-    variables = ("x", "y", "z", "u", "v")
-    terms = {(1, 0, 0, 2, 0): 1, (0, 1, 0, 1, 1): 1, (0, 0, 1, 0, 2): 1}
-    f = make_form(variables, terms)
-    strategy = CertificateStrategy(x_vars=("x", "y", "z"), u_vars=("u", "v"), k=1)
-    return FamilyResult("perazzo", {}, f, ("x", "y", "z"), ("u", "v"), strategy)
+# parameterless members: (x-variables, u-variables, terms, conciseness order k)
+_FIXED = {
+    "perazzo": (("x", "y", "z"), ("u", "v"),
+                {(1, 0, 0, 2, 0): 1, (0, 1, 0, 1, 1): 1, (0, 0, 1, 0, 2): 1}, 1),
+    "bb-cubic": (("x", "y", "z"), ("u", "v"),
+                 {(1, 0, 0, 2, 0): 1, (0, 1, 0, 2, 0): 1, (0, 1, 0, 1, 1): 2,
+                  (0, 1, 0, 0, 2): 1, (0, 0, 1, 0, 2): 1}, 1),
+    "ikeda": (("x", "y"), ("u", "v"),
+              {(1, 0, 3, 1): 1, (0, 1, 1, 3): 1, (2, 3, 0, 0): 1}, 2),
+}
 
 
-def _build_bb_cubic(seed: int) -> FamilyResult:
-    variables = ("x", "y", "z", "u", "v")
-    terms = {(1, 0, 0, 2, 0): 1, (0, 1, 0, 2, 0): 1, (0, 1, 0, 1, 1): 2,
-             (0, 1, 0, 0, 2): 1, (0, 0, 1, 0, 2): 1}
-    f = make_form(variables, terms)
-    strategy = CertificateStrategy(x_vars=("x", "y", "z"), u_vars=("u", "v"), k=1)
-    return FamilyResult("bb-cubic", {}, f, ("x", "y", "z"), ("u", "v"), strategy)
-
-
-def _build_ikeda(seed: int) -> FamilyResult:
-    variables = ("x", "y", "u", "v")
-    terms = {(1, 0, 3, 1): 1, (0, 1, 1, 3): 1, (2, 3, 0, 0): 1}
-    f = make_form(variables, terms)
-    strategy = CertificateStrategy(x_vars=("x", "y"), u_vars=("u", "v"), k=2)
-    return FamilyResult("ikeda", {}, f, ("x", "y"), ("u", "v"), strategy)
+def _build_fixed(name: str, seed: int) -> FamilyResult:
+    x_vars, u_vars, terms, k = _FIXED[name]
+    f = make_form(x_vars + u_vars, terms)
+    strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=k)
+    return FamilyResult(name, {}, f, x_vars, u_vars, strategy)
 
 
 def _build_exceptional(n: int, d: int, seed: int) -> FamilyResult:
@@ -193,9 +188,12 @@ def gn_quartic_bounds(s: int, e: int | None = None) -> dict:
 
 
 _BUILDERS = {
-    "perazzo": (_build_perazzo, 0, "Perazzo cubic x*u^2 + y*u*v + z*v^2"),
-    "bb-cubic": (_build_bb_cubic, 0, "cubic x*u^2 + y*(u+v)^2 + z*v^2"),
-    "ikeda": (_build_ikeda, 0, "quintic x*u^3*v + y*u*v^3 + x^2*y^3"),
+    "perazzo": (partial(_build_fixed, "perazzo"), 0,
+                "Perazzo cubic x*u^2 + y*u*v + z*v^2"),
+    "bb-cubic": (partial(_build_fixed, "bb-cubic"), 0,
+                 "cubic x*u^2 + y*(u+v)^2 + z*v^2"),
+    "ikeda": (partial(_build_fixed, "ikeda"), 0,
+              "quintic x*u^3*v + y*u*v^3 + x^2*y^3"),
     "exceptional": (_build_exceptional, 2,
                     "bigraded chunk plus C(n+1,2) generic powers, degree d+2"),
     "monomial-spread": (_build_monomial_spread, 2,

@@ -10,6 +10,12 @@ factorial scalars, (d/dx)^a x^d = d!/(d-a)! * x^(d-a).
 The zero polynomial carries no degree and is never a Form.  Every
 operation that can collapse to zero returns None instead, and analyses
 reject None inputs up front.
+
+Public constructors (``Form``, ``make_form``, ``parse``, ``monomial``,
+``constant``, ``LinearForm``) validate their input.  Arithmetic on
+Forms and powers of linear forms build their result once, unchecked,
+with ``Form._trusted``; sums add all their terms in one pass
+(``_collect``).
 """
 
 from __future__ import annotations
@@ -71,7 +77,9 @@ class Form:
     def _trusted(cls, variables: tuple[str, ...], degree: int,
                  terms: dict[Exponent, Fraction]) -> "Form":
         """A Form over terms already known to be valid: nonzero Fraction
-        coefficients on exponents of the right length and degree."""
+        coefficients on exponents of the right length and degree.  Only
+        arithmetic results come this way; public input goes through
+        ``Form(...)``, which checks all of it."""
         f = object.__new__(cls)
         f.variables = variables
         f.degree = degree
@@ -115,14 +123,16 @@ class Form:
         return render(self)
 
     def __neg__(self) -> "Form":
-        return Form(self.variables, self.degree,
-                    {e: -c for e, c in self.terms.items()})
+        return Form._trusted(self.variables, self.degree,
+                             {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "Form") -> "Form | None":
-        return _combine(self, other, 1)
+        _check_addend(self, other)
+        return form_sum((self, other))
 
     def __sub__(self, other: "Form") -> "Form | None":
-        return _combine(self, other, -1)
+        _check_addend(self, other)
+        return form_sum((self, -other))
 
     def __mul__(self, other):
         if isinstance(other, Form):
@@ -175,82 +185,71 @@ def monomials(nvars: int, degree: int) -> list[Exponent]:
     return out
 
 
-def _combine(f: Form, g: Form, sign: int) -> Form | None:
-    if not isinstance(g, Form):
-        raise TypeError(f"cannot combine Form with {type(g).__name__}")
-    if f.variables != g.variables:
-        raise ValueError("forms live over different variable tuples")
-    if f.degree != g.degree:
-        raise ValueError(f"cannot add degrees {f.degree} and {g.degree}")
-    out = dict(f.terms)
-    for e, c in g.terms.items():
-        acc = out.get(e, Fraction(0)) + sign * c
-        if acc == 0:
-            out.pop(e, None)
-        else:
+def _collect(pairs: Iterable[tuple[Exponent, Fraction]]) -> dict[Exponent, Fraction]:
+    """Add Fraction coefficients by exponent, dropping every sum that
+    cancels; an exponent that cancels and comes back goes to the end."""
+    out: dict[Exponent, Fraction] = {}
+    for e, c in pairs:
+        acc = out.get(e, 0) + c
+        if acc:
             out[e] = acc
-    if not out:
-        return None
-    return Form(f.variables, f.degree, out)
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _check_addend(first: Form, part: object) -> None:
+    if not isinstance(part, Form):
+        raise TypeError(f"cannot combine Form with {type(part).__name__}")
+    if part.variables != first.variables:
+        raise ValueError("forms live over different variable tuples")
+    if part.degree != first.degree:
+        raise ValueError(f"cannot add degrees {first.degree} and {part.degree}")
 
 
 def scale(f: Form, c: Scalar) -> Form | None:
     c = _as_fraction(c)
     if c == 0:
         return None
-    return Form(f.variables, f.degree, {e: c * v for e, v in f.terms.items()})
+    return Form._trusted(f.variables, f.degree,
+                         {e: c * v for e, v in f.terms.items()})
 
 
 def multiply(f: Form, g: Form) -> Form:
     if f.variables != g.variables:
         raise ValueError("forms live over different variable tuples")
-    out: dict[Exponent, Fraction] = {}
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            e = tuple(a + b for a, b in zip(ef, eg))
-            acc = out.get(e, Fraction(0)) + cf * cg
-            if acc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = acc
+    terms = _collect((tuple(a + b for a, b in zip(ef, eg)), cf * cg)
+                     for ef, cf in f.terms.items() for eg, cg in g.terms.items())
     # a product of nonzero forms over a field is nonzero
-    return Form(f.variables, f.degree + g.degree, out)
+    return Form._trusted(f.variables, f.degree + g.degree, terms)
 
 
 def form_sum(parts: Iterable["Form | None"]) -> Form | None:
-    """Sum forms of one common degree, skipping None, None when all cancel."""
-    total: Form | None = None
-    for part in parts:
-        if part is None:
-            continue
-        total = part if total is None else _combine(total, part, 1)
-    return total
+    """Sum forms of one common degree, skipping None, None when all cancel.
+
+    Every part is checked against the first, then all terms are added
+    in one pass."""
+    forms = [part for part in parts if part is not None]
+    for part in forms:
+        _check_addend(forms[0], part)
+    terms = _collect(item for part in forms for item in part.terms.items())
+    if not terms:
+        return None
+    return Form._trusted(forms[0].variables, forms[0].degree, terms)
 
 
 def apply(op: DiffOp, f: Form) -> Form | None:
     """Differentiate f by op; X^a acts as the literal iterated d/dx_a."""
     if op.variables != f.variables:
         raise ValueError("operator and form use different variable tuples")
-    out: dict[Exponent, Fraction] = {}
+    pairs = []
     for oe, oc in op.terms.items():
         for fe, fc in f.terms.items():
-            factor = 1
-            for m, k in zip(fe, oe):
-                if k:
-                    factor *= math.perm(m, k)
-                    if factor == 0:
-                        break
-            if factor == 0:
-                continue
-            target = tuple(m - k for m, k in zip(fe, oe))
-            acc = out.get(target, Fraction(0)) + oc * fc * factor
-            if acc == 0:
-                out.pop(target, None)
-            else:
-                out[target] = acc
-    if not out:
-        return None
-    return Form(f.variables, f.degree - op.degree, out)
+            factor = math.prod(map(math.perm, fe, oe))  # 0 once some k > m
+            if factor:
+                pairs.append((tuple(m - k for m, k in zip(fe, oe)), oc * fc * factor))
+    terms = _collect(pairs)
+    return Form._trusted(f.variables, f.degree - op.degree, terms) if terms else None
 
 
 class LinearForm:
@@ -329,14 +328,13 @@ def power(linear: LinearForm, d: int) -> Form:
                    for e, left, coefficient in partial
                    for a in range(left, left - 1 if last else -1, -1)]
     denominator = lift ** d
-    terms: dict[Exponent, Scalar] = {}
+    terms: dict[Exponent, Fraction] = {}
     for e, _, coefficient in partial:
         exponent = [0] * len(linear.variables)
         for (i, _), a in zip(support, e):
             exponent[i] = a
-        terms[tuple(exponent)] = (Fraction(coefficient, denominator)
-                                  if denominator > 1 else coefficient)
-    return Form(linear.variables, d, terms)
+        terms[tuple(exponent)] = Fraction(coefficient, denominator)
+    return Form._trusted(linear.variables, d, terms)
 
 
 def check_partition(variables: Sequence[str], x_vars: Sequence[str],
@@ -482,8 +480,7 @@ def parse(text: str, variables: Sequence[str]) -> Form | None:
             return coeff
         raise ValueError(f"syntax error at position {where}: expected a factor")
 
-    terms: dict[Exponent, Fraction] = {}
-    degrees: dict[int, int] = {}
+    pairs: list[tuple[Exponent, Fraction]] = []
     sign = 1
     tok = peek()
     if tok is not None and tok[0] in "+-":
@@ -496,13 +493,7 @@ def parse(text: str, variables: Sequence[str]) -> Form | None:
         while peek() is not None and peek()[0] == "*":
             take()
             coeff = parse_atom(coeff, exps)
-        e = tuple(exps)
-        degrees.setdefault(sum(e), sum(e))
-        acc = terms.get(e, Fraction(0)) + coeff
-        if acc == 0:
-            terms.pop(e, None)
-        else:
-            terms[e] = acc
+        pairs.append((tuple(exps), coeff))
         tok = peek()
         if tok is None:
             break
@@ -510,10 +501,11 @@ def parse(text: str, variables: Sequence[str]) -> Form | None:
             raise ValueError(f"syntax error at position {tok[2]}: expected '+' or '-'")
         take()
         sign = -1 if tok[0] == "-" else 1
+    degrees = {sum(e) for e, _ in pairs}
     if len(degrees) > 1:
-        found = sorted(degrees)
         raise ValueError(
-            f"inhomogeneous input: found terms of degree {found[0]} and {found[-1]}")
+            f"inhomogeneous input: found terms of degree {min(degrees)} and {max(degrees)}")
+    terms = _collect(pairs)
     if not terms:
         return None
-    return Form(names, next(iter(degrees)), terms)
+    return Form(names, degrees.pop(), terms)

@@ -144,6 +144,36 @@ def reference_power(linear: LinearForm, d: int) -> Form:
     return out
 
 
+def _reference_combine(f: Form, g: Form, sign: int) -> Form | None:
+    if not isinstance(g, Form):
+        raise TypeError(f"cannot combine Form with {type(g).__name__}")
+    if f.variables != g.variables:
+        raise ValueError("forms live over different variable tuples")
+    if f.degree != g.degree:
+        raise ValueError(f"cannot add degrees {f.degree} and {g.degree}")
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        acc = out.get(e, Fraction(0)) + sign * c
+        if acc == 0:
+            out.pop(e, None)
+        else:
+            out[e] = acc
+    if not out:
+        return None
+    return Form(f.variables, f.degree, out)
+
+
+def reference_form_sum(parts) -> Form | None:
+    """The pairwise fold that ``form_sum`` replaced: each step copies the
+    running total, adds one part and validates the result again."""
+    total: Form | None = None
+    for part in parts:
+        if part is None:
+            continue
+        total = part if total is None else _reference_combine(total, part, 1)
+    return total
+
+
 def reference_greedy_independent(rows) -> list[int]:
     """Indices of the greedy-first maximal independent subset of rows.
 

@@ -12,7 +12,10 @@ rational coefficients, ``hilbert`` of odd and even degree,
 ``hessian`` with k = l and k < l, ``lefschetz``
 with sampled and given (rational) elements, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
-symbolic kernel member decides, up to four parameters.
+symbolic kernel member decides, up to four parameters.  The family
+listing, a member built as a product of forms, a chunk-plus-powers sum
+whose parts ``bounds`` adds up again, and polynomial text whose terms
+cancel and come back pin the form arithmetic.
 
 The digests were written by the program of commit ee53730 (the first
 two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
@@ -24,8 +27,12 @@ cubic and ``analyze --family monomial-spread(1,3)`` by the child of
 commit 6dd5c24, which settles every cactus claim by support matching
 or the rank ladder and reports the form's own conciseness, and the two
 ``hilbert`` digests and ``analyze --family monomial-spread(1,6)`` by
-commit cc81983, whose ``hilbert`` still eliminated every slice), from
-the root of its checkout with this file copied in:
+commit cc81983, whose ``hilbert`` still eliminated every slice, and
+``family --list``, ``analyze --family power-family(3)``, ``bounds
+--family exceptional(2,3) --seed 3`` and ``analyze --poly`` of the
+cancelling cubic by commit f45fa4f, whose ``form_sum`` still folded
+its parts pairwise), from the root of its checkout with this file
+copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -64,6 +71,9 @@ BINARY_OCTIC = ("4*x^8 + 68*x^7*y + 469*x^6*y^2 + 1638*x^5*y^3 + 2835*x^4*y^4"
                 " + 1512*x^3*y^5 - 1701*x^2*y^6 - 1458*x*y^7 + 729*y^8")
 BINARY_OCTIC_RANK_7 = ("64*x^8 - 64*x^7*y - 80*x^6*y^2 + 128*x^5*y^3 - 20*x^4*y^4"
                        " - 52*x^3*y^5 + 37*x^2*y^6 - 10*x*y^7 + y^8")
+# x^2*y and y^3 cancel and come back, y^2*z cancels for good
+CANCELLING_CUBIC = ("x^2*y + y^3 - x^2*y + x*z^2 + 2*y^2*z - y^3 + 3*x^2*y + z^3"
+                    " - 2*y^2*z + y^3 - x*y*z")
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -98,6 +108,11 @@ COMMANDS = [
     ("binary-rank", "--poly", BINARY_OCTIC, "--vars", "x,y"),
     # (x+y)^2(2x-y)^6: its resultants reach four parameters
     ("binary-rank", "--poly", BINARY_OCTIC_RANK_7, "--vars", "x,y"),
+    ("family", "--list"),
+    # a product of forms, a sum of a chunk and powers, a parse that cancels
+    ("analyze", "--family", "power-family(3)"),
+    ("bounds", "--family", "exceptional(2,3)", "--seed", "3"),
+    ("analyze", "--poly", CANCELLING_CUBIC, "--vars", "x,y,z"),
 ]
 
 

@@ -16,6 +16,7 @@ from wildforms.poly import (
     apply,
     bigrade,
     constant,
+    form_sum,
     make_form,
     monomial,
     monomials,
@@ -26,7 +27,7 @@ from wildforms.poly import (
     scale,
 )
 
-from helpers import random_form, random_linear, reference_power
+from helpers import random_form, random_linear, reference_form_sum, reference_power
 
 
 class TestParseRender:
@@ -130,6 +131,104 @@ class TestFormConstruction:
     def test_multiply(self):
         f = parse("x + y", "xy")
         assert multiply(f, f) == parse("x^2 + 2*x*y + y^2", "xy")
+
+
+def _sum_corpus(seed: int) -> list[list]:
+    """Seeded part lists of one variable tuple and degree each: random
+    forms, None parts, single parts, and planted cancellations (a part
+    that cancels some terms of the parts before it, or all of them)."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(40):
+        nvars, degree = rng.randint(1, 3), rng.randint(0, 4)
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            total = reference_form_sum(parts)
+            if roll < 0.15:
+                parts.append(None)
+            elif roll < 0.35 and total is not None:
+                # cancel a random subset of the terms summed so far
+                kept = {e: -c for e, c in total.terms.items() if rng.random() < 0.5}
+                parts.append(make_form(total.variables, kept) if kept else -total)
+            else:
+                parts.append(random_form(rng, nvars, degree, (-3, 3), 0.5))
+        corpus.append(parts)
+    return corpus
+
+
+class TestFormSum:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_pairwise_fold(self, seed):
+        """Same value and same term order as the fold it replaced; the
+        order reaches the degree read of ``polymat.to_form``."""
+        cancelled = 0
+        for parts in _sum_corpus(seed):
+            expected = reference_form_sum(parts)
+            for got in (form_sum(parts), form_sum(p for p in parts)):
+                assert got == expected
+                if expected is None:
+                    continue
+                assert list(got.terms.items()) == list(expected.terms.items())
+                # an unchecked result would pass a full validation
+                assert Form(got.variables, got.degree, got.terms) == got
+                assert all(type(c) is Fraction and c for c in got.terms.values())
+            cancelled += expected is None and any(p is not None for p in parts)
+        assert cancelled >= 3
+
+    def test_operators_match_the_fold(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            f = random_form(rng, 3, 3, (-2, 2), 0.4)
+            g = f if rng.random() < 0.2 else random_form(rng, 3, 3, (-2, 2), 0.4)
+            for got, expected in ((f + g, reference_form_sum([f, g])),
+                                  (f - g, reference_form_sum([f, scale(g, -1)]))):
+                assert got == expected
+                if expected is not None:
+                    assert list(got.terms.items()) == list(expected.terms.items())
+
+    def test_edge_inputs(self):
+        f = parse("x^2 - y^2", "xy")
+        assert form_sum([]) is None
+        assert form_sum([None, None]) is None
+        assert form_sum([None, f, None]) == f
+        assert form_sum(iter([f, f, -f])) == f
+        assert form_sum([f, -f]) is None
+
+    @pytest.mark.parametrize("combine", [
+        lambda f, g: f + g, lambda f, g: f - g, lambda f, g: form_sum([f, g]),
+        lambda f, g: form_sum([f, None, f, g])])
+    def test_mismatched_variables_rejected(self, combine):
+        f, g = parse("x^2", "xy"), parse("x^2", "xz")
+        with pytest.raises(ValueError) as info:
+            combine(f, g)
+        assert str(info.value) == "forms live over different variable tuples"
+
+    @pytest.mark.parametrize("combine", [
+        lambda f, g: f + g, lambda f, g: f - g, lambda f, g: form_sum([f, g]),
+        lambda f, g: form_sum([None, f, g]),
+        # checked against the first part even after everything cancels
+        lambda f, g: form_sum([f, -f, g])])
+    def test_mismatched_degrees_rejected(self, combine):
+        f, g = parse("x^2", "xy"), parse("x^3", "xy")
+        with pytest.raises(ValueError) as info:
+            combine(f, g)
+        assert str(info.value) == "cannot add degrees 2 and 3"
+
+    @pytest.mark.parametrize("other, name", [(3, "int"), (None, "NoneType"),
+                                             ("x^2", "str"), (Fraction(1, 2), "Fraction")])
+    def test_non_form_operand_rejected(self, other, name):
+        f = parse("x^2", "xy")
+        message = f"cannot combine Form with {name}"
+        for combine in (lambda: f + other, lambda: f - other):
+            with pytest.raises(TypeError) as info:
+                combine()
+            assert str(info.value) == message
+        if other is not None:
+            for parts in ([f, other], [other, f], [other]):
+                with pytest.raises(TypeError) as info:
+                    form_sum(parts)
+                assert str(info.value) == message
 
 
 class TestApply:
