@@ -19,7 +19,9 @@ as soon as the form is dropped.  Integer coefficients give plain
 are first read, and then once: that one exact elimination gives both,
 and ``apolar_basis`` reads the rows off the slice (see linalg for the
 details).  Slices read only for their images, such as a mixed
-Hessian's slice k+l, are never eliminated.
+Hessian's slice k+l, are never eliminated.  A kernel is read off the
+stored rows alone: a degree-k monomial with no stored row is a unit
+operator, and only the stored rows go through ``linalg.nullspace``.
 """
 
 from __future__ import annotations
@@ -167,19 +169,23 @@ class CatalecticantSlice:
     def kernel_basis(self) -> list[DiffOp]:
         """Degree-k annihilator slice, reduced echelon over the row order.
 
-        Zero rows are kernel elements too, so this is the one place that
+        A degree-k monomial with no stored row is a unit operator; each
+        stored row that depends on the rows before it gives its
+        dependency among the stored rows.  This is the one place that
         enumerates every degree-k monomial.
         """
-        everything = monomials(len(self.variables), self.k)
-        where = {alpha: i for i, alpha in enumerate(everything)}
-        transpose = [[0] * len(everything) for _ in self.columns]
-        for alpha, row in zip(self.row_monomials, self.rows):
-            for j, c in row.items():
-                transpose[j][where[alpha]] = c
+        dependencies = linalg.nullspace(self.rows)
+        stored = self.row_monomials
         basis = []
-        for vector in linalg.nullspace(transpose):
-            terms = {everything[i]: c for i, c in enumerate(vector) if c != 0}
-            basis.append(Form(self.variables, self.k, terms))
+        for alpha in monomials(len(self.variables), self.k):
+            i = self._row_index.get(alpha)
+            if i is None:
+                terms = {alpha: Fraction(1)}
+            elif i in dependencies:
+                terms = {stored[j]: c for j, c in dependencies[i].items()}
+            else:
+                continue
+            basis.append(Form._trusted(self.variables, self.k, terms))
         return basis
 
 

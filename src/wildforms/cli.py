@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .apolar import catalecticant, conciseness, hilbert
+from .apolar import HilbertFunction, conciseness, hilbert
 from .bounds import CertificateStrategy, wild_certificate
 from .families import build, evaluate_formula, family_info
 from .hessian import (BudgetExceeded, RankPolicy, generic_rank,
@@ -138,9 +138,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _hilbert_payload(f: Form) -> tuple[dict, list[str]]:
-    hf = hilbert(f)
-    k = conciseness(f)
+def _hilbert_payload(hf: HilbertFunction, k: int) -> tuple[dict, list[str]]:
     payload = {"hilbert": list(hf), "symmetric": hf.is_symmetric,
                "unimodal": hf.is_unimodal, "conciseness": k}
     lines = ["hilbert: " + " ".join(str(a) for a in hf),
@@ -182,7 +180,8 @@ def _cmd_certificate(args) -> int:
     payload = {"schema": SCHEMA, "command": args.command, "certificate": cert}
     lines = _summarize_certificate(cert)
     if args.command == "analyze":
-        hf_payload, _ = _hilbert_payload(f)
+        hf_payload, _ = _hilbert_payload(HilbertFunction(cert["hilbert"]),
+                                         cert["conciseness"])
         payload.update(hf_payload)
         lines.insert(3, f"symmetric: {hf_payload['symmetric']}, "
                         f"unimodal: {hf_payload['unimodal']}")
@@ -195,7 +194,7 @@ def _cmd_certificate(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     f, _ = _resolve_input(args)
-    payload, lines = _hilbert_payload(f)
+    payload, lines = _hilbert_payload(hilbert(f), conciseness(f))
     payload = {"schema": SCHEMA, "command": "hilbert", "form": render(f),
                **payload}
     _emit(args, payload, lines)

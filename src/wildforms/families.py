@@ -180,6 +180,8 @@ def gn_quartic_bounds(s: int, e: int | None = None) -> dict:
         raise ValueError("need s >= 1")
     if e is None:
         e = 2 * (s // 2)
+    elif e < 0:
+        raise ValueError("need e >= 0")
     threshold = math.comb(s + 4, 2)
     border = 16 * e + 40
     return {"s": s, "e": e, "variables": s + 3,

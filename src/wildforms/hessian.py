@@ -39,8 +39,7 @@ from functools import cached_property
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
-from .poly import (Form, LinearForm, _as_fraction, apply, monomial, monomials,
-                   multiply)
+from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply
 
 
 class BudgetExceeded(RuntimeError):
@@ -450,39 +449,31 @@ def multiplication_map_rank(f: Form, L: LinearForm, k: int, l: int) -> int:
     """Rank of multiplication by L^(l-k) from degree k to degree l.
 
     Built directly by reducing products modulo the annihilator, so it is
-    an independent cross-check for the evaluated Hessian rank.
+    an independent cross-check for the evaluated Hessian rank.  The
+    images of the degree-l basis monomials are independent; one
+    ``nullspace`` call over them followed by the images of the products
+    L^(l-k) * m, m in the degree-k basis, gives each product's
+    dependency, whose entries on the degree-l images are minus the
+    product's coordinates.  The rank is that of the coordinate vectors.
     """
     require_analysis_form(f)
     if not 0 <= k < l <= f.degree:
         raise ValueError(f"need 0 <= k < l <= {f.degree}, got ({k}, {l})")
     if L.variables != f.variables:
         raise ValueError("element and form use different variable tuples")
-    basis_k = apolar_basis(f, k)
-    basis_l = apolar_basis(f, l)
-    cols_mono = monomials(f.nvars, f.degree - l)
-    index = {e: i for i, e in enumerate(cols_mono)}
-
-    def vectorize(form: Form | None) -> list[Fraction]:
-        v = [Fraction(0)] * len(cols_mono)
-        if form is not None:
-            for e, c in form.terms.items():
-                v[index[e]] = c
-        return v
-
-    images = [vectorize(apply(monomial(f.variables, e), f))
-              for e in basis_l.monomials]
+    images = [apply(monomial(f.variables, e), f).terms
+              for e in apolar_basis(f, l).monomials]
+    n = len(images)
     ell = L.to_form()
     op = ell
     for _ in range(l - k - 1):
         op = multiply(op, ell)
-    matrix_cols = []
-    for e in basis_k.monomials:
-        q = multiply(op, monomial(f.variables, e))
-        coords = linalg.solve_columns(images, vectorize(apply(q, f)))
-        if coords is None:
-            raise RuntimeError("product image left the span of the basis images")
-        matrix_cols.append(coords)
-    matrix = [[col[i] for col in matrix_cols] for i in range(len(basis_l))]
-    if not matrix or not matrix[0]:
-        return 0
-    return linalg.rank(matrix)
+    for e in apolar_basis(f, k).monomials:
+        image = apply(multiply(op, monomial(f.variables, e)), f)
+        images.append({} if image is None else image.terms)
+    dependencies = linalg.nullspace(images)
+    products = range(n, len(images))
+    if any(t not in dependencies for t in products):
+        raise RuntimeError("product image left the span of the basis images")
+    return linalg.sparse_rank([{i: c for i, c in dependencies[t].items() if i < n}
+                               for t in products])

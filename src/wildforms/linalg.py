@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 One integer eliminator, Bareiss fraction-free forward elimination,
-serves rank, the greedy-first basis, kernels and solves: rows are
-scaled to integers first, so no rounding exists anywhere.  Rank has
+serves rank, the greedy-first basis and kernels: lines are scaled to
+integers first, so no rounding exists anywhere.  Rank has
 one route: a dense matrix is read as the sparse rows of its nonzero
 cells.  Sparse rows are split into connected components of the
 row/column incidence graph and each component is reduced transposed,
@@ -14,10 +14,13 @@ keeps that row, and one of one column keeps its first row, since its
 rows are nonzero multiples of each other; neither is eliminated.  Each
 other component is divided by the gcd of every row and of every column
 before elimination, which keeps Bareiss' coefficient growth down; rows
-of plain ints skip the denominator scaling.  Kernels and solves
-back-substitute through the echelon rows from the last pivot, as
+of plain ints skip the denominator scaling.  Kernels have one route
+too: ``nullspace`` takes sparse vectors and returns the dependencies
+among them, so a caller hands it only the vectors it stores (a
+slice's nonzero rows, a form's terms), never a dense matrix.  It
+back-substitutes through the echelon lines from the last pivot, as
 ``polymat.kernel_vector`` does over Z[x]; only the final division by
-that pivot makes Fractions.
+that pivot makes Fractions, one per nonzero entry.
 """
 
 from __future__ import annotations
@@ -25,18 +28,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 Matrix = Sequence[Sequence[Fraction | int]]
-
-
-def _int_row(row: Iterable[Fraction | int]) -> list[int]:
-    row = list(row)
-    if all(type(x) is int for x in row):
-        return row
-    values = [Fraction(x) for x in row]
-    scale = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * scale) for v in values]
 
 
 def _bareiss_forward(rows: list[list[int]]) -> list[int]:
@@ -75,26 +69,43 @@ def rank(matrix: Matrix) -> int:
     return sparse_rank([{j: v for j, v in enumerate(row) if v} for row in matrix])
 
 
-def _kernel(matrix: Matrix, ncols: int) -> tuple[dict[int, list[int]], int]:
-    """Integer right-kernel vectors by free column, and their divisor p.
+def nullspace(vectors: Sequence[dict[Hashable, Fraction | int]]
+              ) -> dict[int, dict[int, Fraction]]:
+    """The reduced-echelon dependencies among sparse vectors, by free index.
 
-    ``_bareiss_forward`` on the rows scaled to integers leaves echelon
-    rows whose last pivot p is, up to sign, the determinant of the
-    pivot block (p = 1 at rank zero).  The vector of free column c has
-    p at c and 0 at the other free columns; back substitution through
-    the echelon rows fills its pivot entries, and by Cramer's rule each
-    division is exact.  Divided by p it is the reduced-echelon kernel
-    vector of c.
+    This is the right kernel of the matrix whose columns are the
+    vectors.  They are transposed into one line per key, and each line
+    is scaled to integers by the lcm of its denominators, which keeps
+    the kernel.  ``_bareiss_forward`` then leaves echelon lines whose
+    last pivot p is, up to sign, the determinant of the pivot block
+    (p = 1 at rank zero).  The dependency of free vector c has p at c
+    and 0 at the other free vectors; back substitution through the
+    echelon lines fills its pivot entries, and by Cramer's rule each
+    division is exact.  Divided by p, its nonzero entries are returned
+    in increasing index order, with 1 at c.
     """
-    rows = [_int_row(row) for row in matrix]
+    n = len(vectors)
+    lines: dict[Hashable, list[Fraction | int]] = {}
+    for j, vector in enumerate(vectors):
+        for key, c in vector.items():
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = [0] * n
+            line[j] = c
+    rows = []
+    for line in lines.values():
+        if any(type(x) is not int for x in line):
+            scale = math.lcm(*(x.denominator for x in line))
+            line = [x.numerator * (scale // x.denominator) for x in line]
+        rows.append(line)
     pivots = _bareiss_forward(rows)
     p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     taken = set(pivots)
-    vectors = {}
-    for c in range(ncols):
+    dependencies = {}
+    for c in range(n):
         if c in taken:
             continue
-        v = [0] * ncols
+        v = [0] * n
         v[c] = p
         for i in range(len(pivots) - 1, -1, -1):
             row = rows[i]
@@ -102,33 +113,8 @@ def _kernel(matrix: Matrix, ncols: int) -> tuple[dict[int, list[int]], int]:
             for pc in pivots[i + 1:]:
                 acc += row[pc] * v[pc]
             v[pivots[i]] = -acc // row[pivots[i]]
-        vectors[c] = v
-    return vectors, p
-
-
-def nullspace(matrix: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, reduced echelon shaped, by free column."""
-    vectors, p = _kernel(matrix, len(matrix[0]) if matrix else 0)
-    return [[Fraction(x, p) for x in v] for v in vectors.values()]
-
-
-def solve_columns(columns: Sequence[Sequence[Fraction | int]],
-                  target: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Coefficients c with sum c_j * column_j = target, or None.
-
-    Free coordinates, if any, are set to zero: the answer is the kernel
-    vector of the target's column in [columns | target], scaled to -1
-    there.  A pivot there means the target is not in the span.
-    """
-    m = len(target)
-    if any(len(col) != m for col in columns):
-        raise ValueError("column length mismatch")
-    k = len(columns)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(m)]
-    vectors, p = _kernel(aug, k + 1)
-    if k not in vectors:
-        return None
-    return [Fraction(-x, p) for x in vectors[k][:k]]
+        dependencies[c] = {j: Fraction(x, p) for j, x in enumerate(v) if x}
+    return dependencies
 
 
 def sparse_rank(rows: Sequence[dict[int, Fraction | int]]) -> int:

@@ -10,14 +10,18 @@ their replacements can be differential-tested against them.
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
 from wildforms import linalg, polymat
-from wildforms.apolar import maximal_hilbert_through, require_analysis_form
+from wildforms.apolar import (apolar_basis, maximal_hilbert_through,
+                             require_analysis_form)
 from wildforms.hessian import (RankPolicy, evaluated_rank, generic_rank,
                                hessian_determinant, mixed_hessian, seeded_points)
 from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
@@ -27,6 +31,24 @@ from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
 from wildforms.powersum import PowerSumDecomposition
 
 VAR_LETTERS = ("x", "y", "z", "w")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """A module of the benchmark harness in bench/ (its generators or
+    tracer), imported the way bench/run.py imports it."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    return importlib.import_module(name)
+
+
+def binary_round0_forms(seeds=(1, 2, 3)) -> list[Form]:
+    """The forms of round 0 of the ``binary`` benchmark workload."""
+    workloads = bench_module("workloads")
+    return [parse(next(a.partition("=")[2] for a in job.argv if a.startswith("--poly=")),
+                  ("x", "y"))
+            for seed in seeds for job in workloads.WORKLOADS["binary"](seed, 0, set())]
 
 
 def sheared_perazzo() -> Form:
@@ -469,6 +491,120 @@ def reference_solve_columns(columns, target) -> list[Fraction] | None:
     for i, pc in enumerate(pivots):
         out[pc] = reduced[i][k]
     return out
+
+
+def _dense_int_row(row) -> list[int]:
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row
+    values = [Fraction(x) for x in row]
+    scale = math.lcm(*(v.denominator for v in values)) if values else 1
+    return [int(v * scale) for v in values]
+
+
+def _dense_kernel(matrix, ncols: int) -> tuple[dict[int, list[int]], int]:
+    """Integer right-kernel vectors by free column, and their divisor p.
+
+    The dense kernel ``linalg.nullspace`` and ``solve_columns`` shared
+    before ``nullspace`` took sparse vectors: the rows, scaled to
+    integers, go through ``_bareiss_forward`` and each free column's
+    vector is back-substituted through the echelon rows.
+    """
+    rows = [_dense_int_row(row) for row in matrix]
+    pivots = linalg._bareiss_forward(rows)
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    taken = set(pivots)
+    vectors = {}
+    for c in range(ncols):
+        if c in taken:
+            continue
+        v = [0] * ncols
+        v[c] = p
+        for i in range(len(pivots) - 1, -1, -1):
+            row = rows[i]
+            acc = row[c] * p
+            for pc in pivots[i + 1:]:
+                acc += row[pc] * v[pc]
+            v[pivots[i]] = -acc // row[pivots[i]]
+        vectors[c] = v
+    return vectors, p
+
+
+def reference_dense_nullspace(matrix) -> list[list[Fraction]]:
+    """Basis of the right kernel, reduced echelon shaped, by free column
+    (the dense ``linalg.nullspace`` over a matrix's rows)."""
+    vectors, p = _dense_kernel(matrix, len(matrix[0]) if matrix else 0)
+    return [[Fraction(x, p) for x in v] for v in vectors.values()]
+
+
+def reference_dense_solve_columns(columns, target) -> list[Fraction] | None:
+    """Coefficients c with sum c_j * column_j = target, or None (the
+    removed ``linalg.solve_columns``).
+
+    Free coordinates, if any, are set to zero: the answer is the kernel
+    vector of the target's column in [columns | target], scaled to -1
+    there.  A pivot there means the target is not in the span.
+    """
+    m = len(target)
+    if any(len(col) != m for col in columns):
+        raise ValueError("column length mismatch")
+    k = len(columns)
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(m)]
+    vectors, p = _dense_kernel(aug, k + 1)
+    if k not in vectors:
+        return None
+    return [Fraction(-x, p) for x in vectors[k][:k]]
+
+
+def reference_kernel_basis(slice_) -> list[Form]:
+    """The annihilator slice by the dense route ``kernel_basis`` took
+    before it read kernels off the stored rows: the slice transposed
+    into a |columns| x dim Q_k matrix, zero rows included."""
+    everything = monomials(len(slice_.variables), slice_.k)
+    where = {alpha: i for i, alpha in enumerate(everything)}
+    transpose = [[0] * len(everything) for _ in slice_.columns]
+    for alpha, row in zip(slice_.row_monomials, slice_.rows):
+        for j, c in row.items():
+            transpose[j][where[alpha]] = c
+    basis = []
+    for vector in reference_dense_nullspace(transpose):
+        terms = {everything[i]: c for i, c in enumerate(vector) if c != 0}
+        basis.append(Form(slice_.variables, slice_.k, terms))
+    return basis
+
+
+def reference_multiplication_map_rank(f: Form, L: LinearForm, k: int, l: int) -> int:
+    """``multiplication_map_rank`` as it was: one dense solve per
+    degree-k basis monomial, through ``reference_dense_solve_columns``."""
+    basis_k = apolar_basis(f, k)
+    basis_l = apolar_basis(f, l)
+    cols_mono = monomials(f.nvars, f.degree - l)
+    index = {e: i for i, e in enumerate(cols_mono)}
+
+    def vectorize(form: Form | None) -> list[Fraction]:
+        v = [Fraction(0)] * len(cols_mono)
+        if form is not None:
+            for e, c in form.terms.items():
+                v[index[e]] = c
+        return v
+
+    images = [vectorize(apply(monomial(f.variables, e), f))
+              for e in basis_l.monomials]
+    ell = L.to_form()
+    op = ell
+    for _ in range(l - k - 1):
+        op = multiply(op, ell)
+    matrix_cols = []
+    for e in basis_k.monomials:
+        q = multiply(op, monomial(f.variables, e))
+        coords = reference_dense_solve_columns(images, vectorize(apply(q, f)))
+        if coords is None:
+            raise RuntimeError("product image left the span of the basis images")
+        matrix_cols.append(coords)
+    matrix = [[col[i] for col in matrix_cols] for i in range(len(basis_l))]
+    if not matrix or not matrix[0]:
+        return 0
+    return linalg.rank(matrix)
 
 
 def reference_sylvester_resultant(a: list[Poly], b: list[Poly],

@@ -31,9 +31,10 @@ from wildforms.powersum import binary_waring_rank
 from wildforms.poly import (Form, LinearForm, apply, constant, monomial, monomials,
                             multiply, parse, power)
 
-from helpers import (oracle_hilbert, random_form, random_linear,
-                     reference_catalecticant, reference_conciseness,
-                     reference_divisors, reference_greedy_independent,
+from helpers import (binary_round0_forms, oracle_hilbert, random_form,
+                     random_linear, reference_catalecticant, reference_conciseness,
+                     reference_dense_nullspace, reference_divisors,
+                     reference_greedy_independent, reference_kernel_basis,
                      reference_nullspace)
 
 
@@ -323,6 +324,57 @@ class TestKernelBasisAgainstReference:
         for f in forms:
             for k in range(f.degree + 1):
                 assert catalecticant(f, k).kernel_basis == _reference_kernel_basis(f, k)
+
+    def test_binary_round0_slices_against_the_dense_route(self):
+        """Every slice r = 1..d of the binary benchmark's round-0 forms,
+        seeds 1-3: the same operators, term for term and in the same
+        order, as the dense kernel over every degree-r monomial, and the
+        stored rows' dependencies equal the dense kernel of their
+        transpose."""
+        slices = 0
+        for f in binary_round0_forms():
+            for r in range(1, f.degree + 1):
+                s = catalecticant(f, r)
+                got = s.kernel_basis
+                want = reference_kernel_basis(s)
+                assert [list(op.terms.items()) for op in got] == \
+                    [list(op.terms.items()) for op in want]
+                transpose = [[row.get(j, 0) for row in s.rows] for j in range(len(s.columns))]
+                assert [[dep.get(i, 0) for i in range(len(s.rows))]
+                        for dep in linalg.nullspace(s.rows).values()] == \
+                    reference_dense_nullspace(transpose)
+                slices += 1
+        assert slices > 3000
+
+    def test_zero_rows_never_reach_the_eliminator(self, monkeypatch):
+        """Monomials with no stored row are unit operators: no elimination
+        is wider than the stored rows, although dim Q_k is larger."""
+        widths = []
+        forward = linalg._bareiss_forward
+
+        def recording(rows):
+            widths.append(len(rows[0]) if rows else 0)
+            return forward(rows)
+
+        monkeypatch.setattr(linalg, "_bareiss_forward", recording)
+        forms = [parse("x^7 + y^7", "xy"), parse("x^5 + 2*y^5 - 3*z^5 + x*y*z^3", "xyz"),
+                 parse("1/2*x^4*y - 2/3*y^3*z^2 + x*z^4", "xyz")]
+        checked = 0
+        for f in forms:
+            for k in range(1, f.degree + 1):
+                s = catalecticant(f, k)
+                if len(s.rows) == s.nrows:
+                    continue
+                checked += 1
+                del widths[:]
+                kernel = s.kernel_basis
+                assert widths and max(widths) <= len(s.rows)
+                assert len(kernel) == s.nrows - s.rank
+                units = [op for op in kernel if len(op.terms) == 1
+                         and next(iter(op.terms)) not in s.row_monomials]
+                assert len(units) == s.nrows - len(s.rows)
+                assert all(op.terms == {next(iter(op.terms)): 1} for op in units)
+        assert checked >= 12
 
 
 def _fresh(f: Form) -> Form:

@@ -97,6 +97,23 @@ class TestAnalyzeAndBounds:
                      "--deterministic")
         assert a == b
 
+    def test_analyze_reads_hilbert_facts_off_the_certificate(self, capsys, monkeypatch):
+        """analyze prints the certificate's Hilbert vector and conciseness
+        without computing either again."""
+        expected = run(capsys, "analyze", "--family", "ikeda", "--deterministic")
+        expected_json = run_json(capsys, "analyze", "--family", "ikeda", "--deterministic")
+
+        def fail(f):
+            raise AssertionError("recomputed")
+
+        monkeypatch.setattr(cli, "hilbert", fail)
+        monkeypatch.setattr(cli, "conciseness", fail)
+        assert run(capsys, "analyze", "--family", "ikeda", "--deterministic") == expected
+        payload = run_json(capsys, "analyze", "--family", "ikeda", "--deterministic")
+        assert json.dumps(payload) == json.dumps(expected_json)
+        assert list(payload)[-4:] == ["hilbert", "symmetric", "unimodal", "conciseness"]
+        assert expected[1].splitlines()[3] == "symmetric: True, unimodal: True"
+
     def test_seed_changes_generic_draw(self, capsys):
         a = run_json(capsys, "bounds", "--family", "exceptional(3, 5)",
                      "--seed", "1", "--deterministic")
@@ -284,6 +301,12 @@ class TestFamilyCommand:
         assert code == 2
         assert err == ("error: formula spec 'gn-quartic-formula(3,-)' has a "
                        "non-integer argument '-'\n")
+
+    def test_formula_negative_e_refused(self, capsys):
+        code, out, err = run(capsys, "family", "--formula", "gn-quartic-formula(1,-3)")
+        assert (code, out, err) == (2, "", "error: need e >= 0\n")
+        assert run_json(capsys, "family", "--formula",
+                        "gn-quartic-formula(1,0)")["bounds"]["e"] == 0
 
 
 class TestBadInput:

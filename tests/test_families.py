@@ -199,3 +199,6 @@ class TestFormulaBounds:
             power_family_bounds(1)
         with pytest.raises(ValueError):
             gn_quartic_bounds(0)
+        with pytest.raises(ValueError, match="e >= 0"):
+            gn_quartic_bounds(1, -3)
+        assert gn_quartic_bounds(1, 0)["e"] == 0

@@ -12,7 +12,9 @@ rational coefficients, ``hilbert`` of odd and even degree,
 ``hessian`` with k = l and k < l, ``lefschetz``
 with sampled and given (rational) elements, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
-symbolic kernel member decides, up to four parameters.  The family
+symbolic kernel member decides, up to four parameters, one whose
+kernels are mostly unit operators for monomials with no stored slice
+row, and one whose slices hold Fraction cells.  The family
 listing, a member built as a product of forms, a chunk-plus-powers sum
 whose parts ``bounds`` adds up again, and polynomial text whose terms
 cancel and come back pin the form arithmetic.
@@ -31,8 +33,10 @@ commit cc81983, whose ``hilbert`` still eliminated every slice, and
 ``family --list``, ``analyze --family power-family(3)``, ``bounds
 --family exceptional(2,3) --seed 3`` and ``analyze --poly`` of the
 cancelling cubic by commit f45fa4f, whose ``form_sum`` still folded
-its parts pairwise), from the root of its checkout with this file
-copied in:
+its parts pairwise, and the ``binary-rank`` digests of x^7 + y^7 and
+of the rational binary quintic by commit a95aa92, whose kernels still
+ran dense over every degree-k monomial), from the root of its
+checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -74,6 +78,7 @@ BINARY_OCTIC_RANK_7 = ("64*x^8 - 64*x^7*y - 80*x^6*y^2 + 128*x^5*y^3 - 20*x^4*y^
 # x^2*y and y^3 cancel and come back, y^2*z cancels for good
 CANCELLING_CUBIC = ("x^2*y + y^3 - x^2*y + x*z^2 + 2*y^2*z - y^3 + 3*x^2*y + z^3"
                     " - 2*y^2*z + y^3 - x*y*z")
+RATIONAL_BINARY_QUINTIC = "1/2*x^5 - 3/4*x^3*y^2 + 2/3*y^5"
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -113,6 +118,10 @@ COMMANDS = [
     ("analyze", "--family", "power-family(3)"),
     ("bounds", "--family", "exceptional(2,3)", "--seed", "3"),
     ("analyze", "--poly", CANCELLING_CUBIC, "--vars", "x,y,z"),
+    # slice 2 stores no row for x*y, so its one kernel operator is a unit
+    ("binary-rank", "--poly", "x^7 + y^7", "--vars", "x,y"),
+    # its slices hold Fraction cells
+    ("binary-rank", "--poly", RATIONAL_BINARY_QUINTIC, "--vars", "x,y"),
 ]
 
 

@@ -10,7 +10,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildforms import polymat
+from wildforms import hessian, linalg, polymat
+from wildforms.apolar import apolar_basis
 from wildforms.families import build
 from wildforms.hessian import (
     BudgetExceeded,
@@ -31,7 +32,8 @@ from wildforms.linalg import matching, max_matching
 from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
 from helpers import (VAR_LETTERS, random_form, random_linear,
-                     reference_evaluated_rank, sheared_perazzo, to_sympy)
+                     reference_evaluated_rank, reference_multiplication_map_rank,
+                     sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 
@@ -412,6 +414,55 @@ class TestRankConsistency:
                     assert left == right, (f, L, a, b)
                     checked += 1
         assert checked >= 50
+
+    def test_multiplication_matches_the_dense_solves(self):
+        """One ``nullspace`` call gives the ranks the per-monomial dense
+        solves gave, on seeded forms and an exceptional member."""
+        rng = random.Random(404)
+        forms = [random_form(rng, nvars=rng.randint(2, 4), degree=rng.randint(2, 5))
+                 for _ in range(10)]
+        forms.append(build("exceptional(3,5)", seed=1).form)
+        for f in forms:
+            L = random_linear(rng, f.variables)
+            for a in range(f.degree + 1):
+                for b in range(a + 1, f.degree + 1):
+                    assert multiplication_map_rank(f, L, a, b) == \
+                        reference_multiplication_map_rank(f, L, a, b), (f, L, a, b)
+
+    def test_multiplication_eliminates_once(self, monkeypatch):
+        """With the apolar bases at hand, the map of exceptional(3,5) from
+        degree 2 to 3 takes one ``nullspace`` pass and the rank of the
+        coordinates; a solve per basis monomial took 17 passes."""
+        f = build("exceptional(3,5)", seed=1).form
+        L = LinearForm(f.variables, tuple(range(1, f.nvars + 1)))
+        for degree in (2, 3):  # the bases' own eliminations are not the map's
+            apolar_basis(f, degree)
+        passes = []
+        forward = linalg._bareiss_forward
+
+        def counting(rows):
+            passes.append(len(rows))
+            return forward(rows)
+
+        monkeypatch.setattr(linalg, "_bareiss_forward", counting)
+        assert multiplication_map_rank(f, L, 2, 3) == 14
+        assert len(passes) <= 3
+
+    def test_product_outside_the_span_raises(self, monkeypatch):
+        """A product image independent of the degree-l images (here one
+        basis monomial is withheld) is an error, not a coordinate."""
+        f = parse("x^3 + y^3 + z^3 + x*y*z", "xyz")
+        real = apolar_basis
+
+        def short(form, degree):
+            basis = real(form, degree)
+            if degree == 2:
+                basis.monomials = basis.monomials[:-1]
+            return basis
+
+        monkeypatch.setattr(hessian, "apolar_basis", short)
+        with pytest.raises(RuntimeError, match="left the span"):
+            multiplication_map_rank(f, LinearForm("xyz", (1, 2, 3)), 1, 2)
 
     def test_multiplication_guards(self):
         L = LinearForm("xyz", (1, 1, 1))

@@ -19,14 +19,39 @@ from wildforms.linalg import (
     max_matching,
     nullspace,
     rank,
-    solve_columns,
     sparse_rank,
 )
+from wildforms.poly import apply, monomial, monomials
 
 from helpers import (reference_bareiss_det, reference_bareiss_jordan,
-                     reference_greedy_independent, reference_kernel_vector,
-                     reference_matching, reference_nullspace, reference_rank,
-                     reference_solve_columns)
+                     reference_dense_nullspace, reference_greedy_independent,
+                     reference_kernel_vector, reference_matching,
+                     reference_nullspace, reference_rank, reference_solve_columns)
+
+
+def sparse_columns(columns):
+    """Dense columns as sparse vectors {row: nonzero cell}."""
+    return [{i: v for i, v in enumerate(col) if v} for col in columns]
+
+
+def columns_of(a):
+    return [[row[j] for row in a] for j in range(len(a[0]) if a else 0)]
+
+
+def dense_nullspace(a):
+    """``nullspace`` of a dense matrix's columns, each dependency read
+    back as a dense vector."""
+    n = len(a[0]) if a else 0
+    return [[dep.get(j, 0) for j in range(n)]
+            for dep in nullspace(sparse_columns(columns_of(a))).values()]
+
+
+def solve(columns, target):
+    """Coordinates of target on the columns, free ones zero, or None when
+    target is independent of them: minus the target's dependency."""
+    k = len(columns)
+    dep = nullspace(sparse_columns([*columns, target])).get(k)
+    return None if dep is None else [-dep.get(j, 0) for j in range(k)]
 
 
 def random_matrix(rng, m, n, lo=-6, hi=6, density=0.8):
@@ -56,7 +81,7 @@ class TestDenseAgainstSympy:
         for _ in range(30):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             a = random_matrix(rng, m, n, density=0.6)
-            basis = nullspace(a)
+            basis = dense_nullspace(a)
             mat = sympy.Matrix(a)
             assert len(basis) == n - mat.rank()
             for v in basis:
@@ -66,26 +91,24 @@ class TestDenseAgainstSympy:
         a = [[Fraction(v) for v in row]
              for row in [[1, 2, 3], [2, 4, 6], [0, 0, 5]]]
         # pivots 0 and 2, so one kernel vector, at free column 1
-        assert nullspace(a) == [[-2, 1, 0]]
-        first, second, third = ([row[j] for row in a] for j in range(3))
-        assert solve_columns([first, third], second) == [2, 0]
-        assert solve_columns([first, second], third) is None
+        assert dense_nullspace(a) == [[-2, 1, 0]]
+        first, second, third = columns_of(a)
+        assert solve([first, third], second) == [2, 0]
+        assert solve([first, second], third) is None
 
 
 class TestSolveColumns:
+    """Solves read off the target's dependency in one ``nullspace`` call."""
+
     def test_exact_combination(self):
         cols = [[1, 0, 2], [0, 1, 1]]
         target = [3, -2, 4]
-        out = solve_columns(cols, target)
+        out = solve(cols, target)
         assert out == [Fraction(3), Fraction(-2)]
 
     def test_unsolvable_returns_none(self):
-        assert solve_columns([[1, 0, 0]], [0, 1, 0]) is None
-        assert solve_columns([[1, 2], [2, 4]], [1, 3]) is None
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            solve_columns([[1, 2, 3]], [1, 2])
+        assert solve([[1, 0, 0]], [0, 1, 0]) is None
+        assert solve([[1, 2], [2, 4]], [1, 3]) is None
 
     def test_random_consistency(self):
         rng = random.Random(104)
@@ -96,7 +119,7 @@ class TestSolveColumns:
             weights = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
             target = [sum(w * col[i] for w, col in zip(weights, cols))
                       for i in range(m)]
-            out = solve_columns(cols, target)
+            out = solve(cols, target)
             assert out is not None
             rebuilt = [sum(c * col[i] for c, col in zip(out, cols))
                        for i in range(m)]
@@ -662,18 +685,27 @@ def _rational_matrix(rng, m, n, density=0.7):
 
 
 def _assert_kernel_matches_reference(a):
-    """nullspace, and solve_columns for each column against the columns
-    before it and against all the others, equal what reference_rref gives."""
+    """nullspace of the columns equals what reference_rref gives, and so
+    does each column's dependency on the columns before it and on all
+    the others: minus the solution reference_solve_columns finds, 1 at
+    the column itself, or nothing when the column is independent."""
     before = [list(row) for row in a]
-    basis = nullspace(a)
-    assert basis == reference_nullspace(a)
-    assert all(type(v) is Fraction for row in basis for v in row)
-    columns = [[row[j] for row in a] for j in range(len(a[0]) if a else 0)]
+    columns = columns_of(a)
+    dependencies = nullspace(sparse_columns(columns))
+    assert [[dep.get(j, 0) for j in range(len(columns))]
+            for dep in dependencies.values()] == reference_nullspace(a)
+    assert all(type(v) is Fraction for dep in dependencies.values() for v in dep.values())
+    assert all(list(dep) == sorted(dep) for dep in dependencies.values())
     for j, target in enumerate(columns):
         for others in (columns[:j], columns[:j] + columns[j + 1:]):
-            got = solve_columns(others, target)
-            assert got == reference_solve_columns(others, target)
-            assert got is None or all(type(v) is Fraction for v in got)
+            k = len(others)
+            got = nullspace(sparse_columns([*others, target])).get(k)
+            want = reference_solve_columns(others, target)
+            if want is None:
+                assert got is None
+            else:
+                assert got == {**{i: -x for i, x in enumerate(want) if x}, k: 1}
+                assert all(type(v) is Fraction for v in got.values())
     assert a == before
 
 
@@ -701,10 +733,10 @@ class TestKernelAgainstReference:
         for a in (tall, wide, low_rank, [[0, 0, 0], [0, 0, 0]], [[5]],
                   [[Fraction(-2, 3)]], [[]], []):
             _assert_kernel_matches_reference(a)
-        assert nullspace([]) == []
-        assert nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
-        assert len(nullspace(low_rank)) == 4
-        assert solve_columns([[], []], []) == [0, 0]
+        assert dense_nullspace([]) == []
+        assert dense_nullspace([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+        assert len(dense_nullspace(low_rank)) == 4
+        assert solve([[], []], []) == [0, 0]
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -712,3 +744,75 @@ class TestKernelAgainstReference:
                  min_size=n, max_size=n), min_size=1, max_size=5)))
     def test_property_small_rational(self, a):
         _assert_kernel_matches_reference(a)
+
+
+def _random_vectors(rng: random.Random, keys: list) -> list[dict]:
+    """Sparse vectors over ``keys`` with int and Fraction cells, some
+    explicit zero cells, zero vectors and planted dependencies."""
+    vectors = []
+    for _ in range(rng.randint(1, 9)):
+        roll = rng.random()
+        if roll < 0.15 or not vectors:
+            vector = {}
+        elif roll < 0.4:  # a combination of earlier vectors
+            vector = {}
+            for other in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                for key, v in other.items():
+                    vector[key] = vector.get(key, 0) + c * v
+        else:
+            vector = {key: _cell(rng) for key in rng.sample(keys, rng.randint(1, len(keys)))}
+        if rng.random() < 0.2:
+            vector[rng.choice(keys)] = 0
+        vectors.append(vector)
+    return vectors
+
+
+def _assert_nullspace_matches_dense(vectors) -> None:
+    """The sparse dependencies against the dense kernel ``nullspace``
+    computed before it took sparse vectors, on the matrix whose columns
+    are the vectors (rows in first-seen key order)."""
+    keys = list(dict.fromkeys(key for vector in vectors for key in vector))
+    matrix = [[vector.get(key, 0) for vector in vectors] for key in keys]
+    if not matrix:  # only zero vectors: the dense route needs a row
+        matrix = [[0] * len(vectors)]
+    before = [dict(vector) for vector in vectors]
+    got = nullspace(vectors)
+    want = reference_dense_nullspace(matrix)
+    assert len(got) == len(want)
+    for (free, dep), vector in zip(got.items(), want):
+        assert dep == {j: v for j, v in enumerate(vector) if v}
+        assert list(dep) == sorted(dep) and dep[free] == 1
+        assert all(type(v) is Fraction for v in dep.values())
+    assert vectors == before
+
+
+class TestNullspaceAgainstDense:
+    """The sparse ``nullspace`` against the dense one it replaced."""
+
+    def test_seeded_integer_keys(self):
+        rng = random.Random(1301)
+        for _ in range(300):
+            _assert_nullspace_matches_dense(_random_vectors(rng, list(range(rng.randint(1, 8)))))
+
+    def test_seeded_exponent_keys(self):
+        rng = random.Random(1303)
+        for _ in range(150):
+            nvars, degree = rng.randint(1, 4), rng.randint(0, 4)
+            keys = monomials(nvars, degree)
+            _assert_nullspace_matches_dense(_random_vectors(rng, keys))
+
+    def test_form_terms(self):
+        """Term dicts of the degree-3 derivatives, keyed by exponent
+        tuples; a zero derivative is the zero vector."""
+        f = build("exceptional(3,5)", seed=1).form
+        images = (apply(monomial(f.variables, e), f) for e in monomials(f.nvars, 3))
+        vectors = [{} if g is None else g.terms for g in images]
+        assert {} in vectors
+        _assert_nullspace_matches_dense(vectors)
+
+    def test_empty_and_zero_vectors(self):
+        assert nullspace([]) == {}
+        assert nullspace([{}, {}]) == {0: {0: 1}, 1: {1: 1}}
+        assert nullspace([{"a": 0}, {"a": Fraction(1, 2)}]) == {0: {0: 1}}
+        assert nullspace([{"a": 2}, {"a": Fraction(3, 2)}]) == {1: {0: Fraction(-3, 4), 1: 1}}
