@@ -128,7 +128,7 @@ class CatalecticantSlice:
             {beta for image in images.values() for beta in image}, reverse=True)
         col_index = {beta: j for j, beta in enumerate(self.columns)}
         self.row_monomials: list[Exponent] = sorted(images, reverse=True)
-        self._row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
+        self.row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
         self.rows: list[dict[int, Fraction | int]] = [
             {col_index[beta]: c for beta, c in images[alpha].items()}
             for alpha in self.row_monomials]
@@ -157,9 +157,11 @@ class CatalecticantSlice:
 
     def image(self, alpha: Exponent) -> Form | None:
         """alpha applied to the form, read off row alpha; None when zero."""
-        i = self._row_index.get(alpha)
-        if i is None:
-            return None
+        i = self.row_index.get(alpha)
+        return None if i is None else self.row_image(i)
+
+    def row_image(self, i: int) -> Form:
+        """Stored row i as a Form: row_monomials[i] applied to the form."""
         columns = self.columns
         return Form._trusted(self.variables, self.degree - self.k,
                              {columns[j]: Fraction(c) if type(c) is int else c
@@ -178,7 +180,7 @@ class CatalecticantSlice:
         stored = self.row_monomials
         basis = []
         for alpha in monomials(len(self.variables), self.k):
-            i = self._row_index.get(alpha)
+            i = self.row_index.get(alpha)
             if i is None:
                 terms = {alpha: Fraction(1)}
             elif i in dependencies:

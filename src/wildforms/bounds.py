@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .apolar import (catalecticant, conciseness, hilbert,
-                     maximal_hilbert_through, require_analysis_form)
+from .apolar import (conciseness, hilbert, maximal_hilbert_through,
+                     require_analysis_form)
 from .hessian import RankPolicy, generic_rank, mixed_hessian
 from .poly import Form, bigrade, form_sum, make_form, render
 from .powersum import PowerSumDecomposition, verify_decomposition
@@ -78,8 +78,28 @@ def border_bound_bihomogeneous(f: Form, x_vars, u_vars) -> int:
     return k * (f.degree + 2)
 
 
-def _is_linear_power(f: Form) -> bool:
-    return catalecticant(f, 1).rank == 1
+def _is_linear_power(g: Form) -> bool:
+    """Whether g is a power of a linear form: slice 1, the first partials
+    of g, has rank 1.  With g's coefficients lifted to integers, every
+    nonzero partial (c*e_i at e - u_i for each term c*x^e) must have the
+    first one's monomials and cells proportional to its cells, checked
+    by cross-multiplication; no slice is built or eliminated."""
+    lift = math.lcm(*(c.denominator for c in g.terms.values()))
+    partials: list[dict] = [{} for _ in g.variables]
+    for e, c in g.terms.items():
+        n = c.numerator * (lift // c.denominator)
+        for i, a in enumerate(e):
+            if a:
+                partials[i][e[:i] + (a - 1,) + e[i + 1:]] = a * n
+    first, *rest = [p for p in partials if p]
+    pivot = next(iter(first))
+    for p in rest:
+        if p.keys() != first.keys():
+            return False
+        a, b = first[pivot], p[pivot]
+        if any(p[m] * a != c * b for m, c in first.items()):
+            return False
+    return True
 
 
 def _resolve_part(g: Form, x_vars, u_vars) -> tuple[int, str] | None:

@@ -45,15 +45,20 @@ class FamilyResult:
 
 
 def generic_linear_forms(variables, count: int, seed: int = 0,
-                         low: int = -9, high: int = 9) -> list[LinearForm]:
-    """Seeded pairwise non-proportional linear forms with small entries."""
+                         low: int = -9, high: int = 9,
+                         drawn: int | None = None) -> list[LinearForm]:
+    """Seeded pairwise non-proportional linear forms with small entries.
+
+    With ``drawn``, entries are drawn for the first ``drawn`` variables
+    only: the forms drawn over those alone, padded with zeros."""
     rng = random.Random(seed)
+    tail = [0] * (len(variables) - drawn) if drawn is not None else []
     out: list[LinearForm] = []
     while len(out) < count:
-        coeffs = [rng.randint(low, high) for _ in variables]
+        coeffs = [rng.randint(low, high) for _ in variables[:drawn]]
         if all(c == 0 for c in coeffs):
             continue
-        cand = LinearForm(variables, coeffs)
+        cand = LinearForm(variables, coeffs + tail)
         if any(cand.proportional(seen) for seen in out):
             continue
         out.append(cand)
@@ -104,9 +109,7 @@ def _build_exceptional(n: int, d: int, seed: int) -> FamilyResult:
     chunk = make_form(variables, chunk_terms)
     count = math.comb(n + 1, 2)
     for attempt in range(RESEED_CAP):
-        drawn = generic_linear_forms(x_vars, count, seed + attempt)
-        lines = [LinearForm(variables, tuple(l.coefficients) + (0, 0))
-                 for l in drawn]
+        lines = generic_linear_forms(variables, count, seed + attempt, drawn=nx)
         powers = [power(l, d + 2) for l in lines]
         f = form_sum([chunk] + powers)
         if f is not None and maximal_hilbert_through(f, 2):

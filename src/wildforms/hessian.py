@@ -4,26 +4,29 @@ The (k,l) mixed Hessian of f is the matrix of second-kind derivatives
 alpha*beta(f) over the chosen monomial bases of the apolar algebra in
 degrees k and l.  Rank questions about multiplication maps of the
 algebra reduce to evaluated ranks of these matrices, which is what the
-Lefschetz checks use.
+Lefschetz checks use.  A Hessian is built as the row of slice k+l that
+each entry reads, or None for a zero entry; the entry forms themselves
+are built from the slice when ``entries`` is first read, and never for
+a Hessian whose support alone answers the question.
 
 Rank certification runs a ladder: exact evaluation at seeded integer
 points gives a certified lower bound, and the bipartite matching
 number nu of the nonzero-entry support a certified upper bound.  The
 support and nu are computed once per Hessian and kept on it, so a
 caller that only needs nu (the cactus routes, when nu alone settles
-their bound) pays for no evaluation.  Full rank at a point settles the
-rank at once.  Below a size cap the rank is then decided symbolically,
-with a kernel vector verified exactly over Z[x].  When evaluation
-already reaches nu, each column the maximum matching leaves free
-yields a kernel vector from its matching closure, a block of s rows
-and s+1 columns, and the n - nu vectors are independent; when
-evaluation falls short of nu, or a closure vector vanishes at its own
-column, fraction-free elimination of the whole matrix decides.  Both
-routes run polymat's fraction-free Gauss-Jordan, so the report keeps
-its method label "fraction-free Gauss-Jordan elimination", which tools
-reading the reports match on.  Above the cap, meeting bounds certify
-structurally, and any other report is labelled probabilistic with its
-Schwartz-Zippel odds, never silently.
+their bound) pays for no evaluation and no entry.  Full rank at a
+point settles the rank at once.  Below a size cap the rank is then
+decided symbolically, with a kernel vector verified exactly over Z[x].
+When evaluation already reaches nu, each column the maximum matching
+leaves free yields a kernel vector from its matching closure, a block
+of s rows and s+1 columns, and the n - nu vectors are independent;
+when evaluation falls short of nu, or a closure vector vanishes at its
+own column, fraction-free elimination of the whole matrix decides.
+Both routes run polymat's fraction-free Gauss-Jordan, so the report
+keeps its method label "fraction-free Gauss-Jordan elimination", which
+tools reading the reports match on.  Above the cap, meeting bounds
+certify structurally, and any other report is labelled probabilistic
+with its Schwartz-Zippel odds, never silently.
 
 The symbolic determinant of ``hessian_determinant`` serves only the
 ``hessian`` command, when a square rank is probabilistic.
@@ -36,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
@@ -107,34 +111,45 @@ class RankReport:
 
 
 class MixedHessian:
-    """Matrix [alpha_i beta_j (f)] over apolar basis monomials."""
+    """Matrix [alpha_i beta_j (f)] over apolar basis monomials.
+
+    ``cells[i][j]`` is the stored row of alpha_i + beta_j in slice k+l,
+    or None for a zero entry.  Shape, support and nu read only the
+    cells; ``entries`` builds the Forms on first read."""
 
     def __init__(self, form: Form, k: int, l: int, row_basis, col_basis,
-                 entries: list[list[Form | None]]):
+                 cells: list[list[int | None]]):
         self.form = form
         self.k = k
         self.l = l
         self.row_basis = row_basis
         self.col_basis = col_basis
-        self.entries = entries
+        self.cells = cells
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.cells)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.cells[0]) if self.cells else 0
 
     @property
     def entry_degree(self) -> int:
         return self.form.degree - self.k - self.l
 
     @cached_property
+    def entries(self) -> list[list[Form | None]]:
+        """alpha_i beta_j (f), or None when zero; built on first read."""
+        row_image = catalecticant(self.form, self.k + self.l).row_image
+        return [[None if i is None else row_image(i) for i in row]
+                for row in self.cells]
+
+    @cached_property
     def support(self) -> list[set[int]]:
         """Columns of the nonzero entries, row by row."""
-        return [set(j for j, e in enumerate(row) if e is not None)
-                for row in self.entries]
+        return [set(j for j, i in enumerate(row) if i is not None)
+                for row in self.cells]
 
     @cached_property
     def scale(self) -> int:
@@ -154,11 +169,10 @@ def mixed_hessian(f: Form, k: int, l: int) -> MixedHessian:
         raise ValueError(f"need k, l >= 0 with k+l <= {f.degree}, got ({k}, {l})")
     rows = apolar_basis(f, k)
     cols = apolar_basis(f, l)
-    images = catalecticant(f, k + l)
-    entries = [[images.image(tuple(a + b for a, b in zip(er, ec)))
-                for ec in cols.monomials]
-               for er in rows.monomials]
-    return MixedHessian(f, k, l, rows, cols, entries)
+    where = catalecticant(f, k + l).row_index.get
+    cells = [[where(tuple(map(add, er, ec))) for ec in cols.monomials]
+             for er in rows.monomials]
+    return MixedHessian(f, k, l, rows, cols, cells)
 
 
 def seeded_points(policy: RankPolicy, nvars: int):

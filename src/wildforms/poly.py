@@ -15,7 +15,9 @@ Public constructors (``Form``, ``make_form``, ``parse``, ``monomial``,
 ``constant``, ``LinearForm``) validate their input.  Arithmetic on
 Forms and powers of linear forms build their result once, unchecked,
 with ``Form._trusted``; sums add all their terms in one pass
-(``_collect``).
+(``_collect``), over integer numerators brought to a common
+denominator, so a coefficient becomes a Fraction once, after its last
+addition.
 """
 
 from __future__ import annotations
@@ -186,16 +188,20 @@ def monomials(nvars: int, degree: int) -> list[Exponent]:
 
 
 def _collect(pairs: Iterable[tuple[Exponent, Fraction]]) -> dict[Exponent, Fraction]:
-    """Add Fraction coefficients by exponent, dropping every sum that
-    cancels; an exponent that cancels and comes back goes to the end."""
-    out: dict[Exponent, Fraction] = {}
+    """Add coefficients by exponent, dropping every sum that cancels; an
+    exponent that cancels and comes back goes to the end.  The sums are
+    of integer numerators over the lcm D of all denominators, and each
+    surviving sum n becomes one Fraction n/D."""
+    pairs = list(pairs)
+    lift = math.lcm(*(c.denominator for _, c in pairs))
+    sums: dict[Exponent, int] = {}
     for e, c in pairs:
-        acc = out.get(e, 0) + c
+        acc = sums.get(e, 0) + c.numerator * (lift // c.denominator)
         if acc:
-            out[e] = acc
+            sums[e] = acc
         else:
-            out.pop(e, None)
-    return out
+            sums.pop(e, None)
+    return {e: Fraction(n, lift) for e, n in sums.items()}
 
 
 def _check_addend(first: Form, part: object) -> None:
@@ -364,7 +370,8 @@ def bigrade(f: Form, x_vars: Sequence[str], u_vars: Sequence[str]) -> tuple[int,
 
 
 def render(f: Form) -> str:
-    """Canonical text: graded-lex descending terms, '*' separated factors."""
+    """Canonical text: graded-lex descending terms, '*' separated factors;
+    a coefficient is written from its numerator and denominator."""
     pieces: list[tuple[str, str]] = []
     for exponent, coefficient in f.sorted_terms():
         factors = []
@@ -374,11 +381,13 @@ def render(f: Form) -> str:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         body = "*".join(factors)
-        sign = "-" if coefficient < 0 else "+"
-        c = abs(coefficient)
+        num, den = coefficient.numerator, coefficient.denominator
+        sign = "-" if num < 0 else "+"
+        num = abs(num)
+        c = str(num) if den == 1 else f"{num}/{den}"
         if not body:
-            text = str(c)
-        elif c == 1:
+            text = c
+        elif c == "1":
             text = body
         else:
             text = f"{c}*{body}"

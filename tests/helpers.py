@@ -20,10 +20,11 @@ from pathlib import Path
 import sympy
 
 from wildforms import linalg, polymat
-from wildforms.apolar import (apolar_basis, maximal_hilbert_through,
-                             require_analysis_form)
-from wildforms.hessian import (RankPolicy, evaluated_rank, generic_rank,
-                               hessian_determinant, mixed_hessian, seeded_points)
+from wildforms.apolar import (apolar_basis, catalecticant,
+                             maximal_hilbert_through, require_analysis_form)
+from wildforms.hessian import (MixedHessian, RankPolicy, evaluated_rank,
+                               generic_rank, hessian_determinant, mixed_hessian,
+                               seeded_points)
 from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
                             make_form, monomial, monomials, multiply, parse,
                             power)
@@ -194,6 +195,75 @@ def reference_form_sum(parts) -> Form | None:
             continue
         total = part if total is None else _reference_combine(total, part, 1)
     return total
+
+
+def reference_collect(pairs) -> dict:
+    """The term accumulator ``poly._collect`` replaced: Fraction sums by
+    exponent, an exponent that cancels and comes back going to the end."""
+    out: dict = {}
+    for e, c in pairs:
+        acc = out.get(e, 0) + c
+        if acc:
+            out[e] = acc
+        else:
+            out.pop(e, None)
+    return out
+
+
+def reference_render(f: Form) -> str:
+    """The text ``poly.render`` wrote through Fraction comparisons,
+    ``abs`` and ``str`` before it read numerator and denominator."""
+    pieces: list[tuple[str, str]] = []
+    for exponent, coefficient in f.sorted_terms():
+        factors = []
+        for name, e in zip(f.variables, exponent):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        sign = "-" if coefficient < 0 else "+"
+        c = abs(coefficient)
+        if not body:
+            text = str(c)
+        elif c == 1:
+            text = body
+        else:
+            text = f"{c}*{body}"
+        pieces.append((sign, text))
+    head_sign, head = pieces[0]
+    out = ("-" + head) if head_sign == "-" else head
+    for sign, text in pieces[1:]:
+        out += f" {sign} {text}"
+    return out
+
+
+def reference_is_linear_power(g: Form) -> bool:
+    """The linear-power test ``bounds`` ran before it compared first
+    partials: slice 1 of g, eliminated, has rank 1."""
+    return catalecticant(g, 1).rank == 1
+
+
+def reference_mixed_hessian_entries(f: Form, k: int, l: int) -> list[list[Form | None]]:
+    """Every entry alpha*beta(f) of the (k,l) mixed Hessian, looked up
+    eagerly in slice k+l, the way ``mixed_hessian`` built them before
+    entries were built on first read."""
+    images = catalecticant(f, k + l)
+    return [[images.image(tuple(a + b for a, b in zip(er, ec)))
+             for ec in apolar_basis(f, l).monomials]
+            for er in apolar_basis(f, k).monomials]
+
+
+def hessian_with_entries(form: Form, k: int, l: int, entries) -> MixedHessian:
+    """A hand-built MixedHessian over given entries (None for zero).
+
+    Its cells only mark which entries are nonzero; the entries are set
+    on it, so they are never read from a slice of ``form``.
+    """
+    cells = [[None if e is None else j for j, e in enumerate(row)] for row in entries]
+    hess = MixedHessian(form, k, l, None, None, cells)
+    hess.entries = entries
+    return hess
 
 
 def reference_greedy_independent(rows) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -24,11 +25,11 @@ from wildforms.bounds import (
 )
 from wildforms.families import build
 from wildforms.hessian import BudgetExceeded, RankPolicy
-from wildforms.poly import LinearForm, parse, power, render
+from wildforms.poly import LinearForm, form_sum, make_form, parse, power, render
 from wildforms.powersum import PowerSumDecomposition
 
 from helpers import (random_form, reference_certify_rank_deficient,
-                     sheared_perazzo, to_sympy)
+                     reference_is_linear_power, sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 # the perazzo cubic sheared so that every second partial is nonzero
@@ -130,6 +131,78 @@ class TestBorderUpper:
     def test_monomial_whole_form(self):
         bound = border_upper(parse("x^2*y^3", "xy"))
         assert (bound.value, bound.method) == (3, "monomial")
+
+
+POWER_VARIABLES = ("x", "y", "z", "u", "v")
+
+
+def _fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 4, 7]))
+
+
+def _line(rng: random.Random, variables, absent: int = 0) -> LinearForm:
+    """A linear form with Fraction entries, zero on ``absent`` variables."""
+    while True:
+        coeffs = [_fraction(rng) if rng.random() < 0.9 else 0 for _ in variables]
+        for i in rng.sample(range(len(variables)), absent):
+            coeffs[i] = 0
+        if any(coeffs):
+            return LinearForm(variables, coeffs)
+
+
+def _linear_power_corpus(seed: int) -> list:
+    """Seeded forms over 1-5 variables, degree 1-6: powers of linear
+    forms, sums of two powers, powers with one coefficient perturbed,
+    single monomials, and powers in which some variables are absent."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(120):
+        variables = POWER_VARIABLES[:rng.choice([1, 2, 3, 3, 4, 4, 5, 5])]
+        n, d = len(variables), rng.randint(1, 6)
+        corpus.append(power(_line(rng, variables), d))
+        corpus.append(form_sum([power(_line(rng, variables), d),
+                                power(_line(rng, variables), d)]))
+        p = power(_line(rng, variables), d)
+        e = rng.choice(list(p.terms))
+        terms = dict(p.terms)
+        terms[e] += rng.choice([1, -1, Fraction(1, 2), Fraction(-2, 3)])
+        corpus.append(make_form(variables, terms))
+        e = [0] * n
+        for _ in range(d):
+            e[rng.randrange(n)] += 1
+        corpus.append(make_form(variables, {tuple(e): _fraction(rng)}))
+        corpus.append(power(_line(rng, variables, absent=rng.randint(0, max(0, n - 2))), d))
+    return [f for f in corpus if f is not None]
+
+
+class TestLinearPowerCheck:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_matches_the_slice_rank(self, seed):
+        """The partials test agrees with eliminating slice 1."""
+        corpus = _linear_power_corpus(seed)
+        verdicts = [bounds._is_linear_power(f) for f in corpus]
+        assert verdicts == [reference_is_linear_power(f) for f in corpus]
+        assert len(corpus) >= 590
+        assert sum(v and len(f.terms) > 1 for f, v in zip(corpus, verdicts)) >= 150
+        assert sum(not v for v in verdicts) >= 200
+
+    def test_builds_no_slice(self):
+        f = power(LinearForm(POWER_VARIABLES, (1, Fraction(2, 3), 0, -5, Fraction(1, 7))), 6)
+        assert bounds._is_linear_power(f)
+        assert f._slices is None
+        g = f + parse("x^6", POWER_VARIABLES)
+        assert not bounds._is_linear_power(g)
+        assert g._slices is None
+
+    def test_fixed_cases(self):
+        V = "xyz"
+        assert bounds._is_linear_power(parse("x^3", V))
+        assert bounds._is_linear_power(parse("2*x + 3*y - z", V))
+        assert bounds._is_linear_power(parse("x^2 + 2*x*y + y^2", V))
+        assert not bounds._is_linear_power(parse("x^2 + 2*x*y + 2*y^2", V))
+        assert not bounds._is_linear_power(parse("x^2*y", V))
+        # same monomials as (x+y)^2 in its partials' supports, not proportional
+        assert not bounds._is_linear_power(parse("x^2 + 3*x*y + y^2", V))
 
 
 class TestGenericWaringRank:

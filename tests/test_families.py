@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from wildforms import families
 from wildforms.apolar import maximal_hilbert_through
 from wildforms.bounds import wild_certificate
 from wildforms.families import (
@@ -17,7 +18,7 @@ from wildforms.families import (
     gn_quartic_bounds,
     power_family_bounds,
 )
-from wildforms.poly import parse
+from wildforms.poly import LinearForm, form_sum, parse, power
 
 
 class TestBuilders:
@@ -162,6 +163,38 @@ class TestGenericLinearForms:
         a = generic_linear_forms(("x", "y"), 4, seed=9)
         b = generic_linear_forms(("x", "y"), 4, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drawn_pads_the_same_draws(self, seed):
+        """Forms drawn over the first variables only are the forms drawn
+        over those variables alone, padded with zeros."""
+        xs, padded = ("x", "y", "z"), ("x", "y", "z", "u", "v")
+        short = generic_linear_forms(xs, 6, seed=seed, low=-2, high=2)
+        wide = generic_linear_forms(padded, 6, seed=seed, low=-2, high=2, drawn=3)
+        assert wide == [LinearForm(padded, l.coefficients + (0, 0)) for l in short]
+
+    @pytest.mark.parametrize("n,d,seed", [(2, 3, 1), (3, 5, 4), (3, 7, 1), (4, 7, 2)])
+    def test_exceptional_builds_each_line_once(self, monkeypatch, n, d, seed):
+        """Each drawn line is built once, over all the variables, and the
+        member is the chunk plus the powers of the padded x-draws."""
+        built = []
+
+        class Counted(LinearForm):
+            __slots__ = ()
+
+            def __init__(self, variables, coefficients):
+                super().__init__(variables, coefficients)
+                built.append(self)
+
+        monkeypatch.setattr(families, "LinearForm", Counted)
+        r = build(f"exceptional({n},{d})", seed=seed)
+        assert built and all(l.variables == r.form.variables for l in built)
+        monkeypatch.undo()
+        draws = generic_linear_forms(r.x_vars, n * (n + 1) // 2, seed=r.seed)
+        lines = [LinearForm(r.form.variables, l.coefficients + (0, 0)) for l in draws]
+        chunk = r.strategy.parts[0]
+        assert r.strategy.parts[1:] == [power(l, d + 2) for l in lines]
+        assert r.form == form_sum([chunk] + r.strategy.parts[1:])
 
 
 class TestFormulaBounds:

@@ -35,7 +35,10 @@ commit cc81983, whose ``hilbert`` still eliminated every slice, and
 cancelling cubic by commit f45fa4f, whose ``form_sum`` still folded
 its parts pairwise, and the ``binary-rank`` digests of x^7 + y^7 and
 of the rational binary quintic by commit a95aa92, whose kernels still
-ran dense over every degree-k monomial), from the root of its
+ran dense over every degree-k monomial, and ``analyze`` of
+exceptional(3,7) and exceptional(4,7) by commit 5253eb9, which still
+found linear powers by eliminating slice 1 and built every mixed
+Hessian entry eagerly), from the root of its
 checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
@@ -122,6 +125,10 @@ COMMANDS = [
     ("binary-rank", "--poly", "x^7 + y^7", "--vars", "x,y"),
     # its slices hold Fraction cells
     ("binary-rank", "--poly", RATIONAL_BINARY_QUINTIC, "--vars", "x,y"),
+    # chunk plus powers: each power part is recognised as a linear power,
+    # and the cactus bound reads the degenerate (2,2) Hessian
+    ("analyze", "--family", "exceptional(3,7)", "--seed", "1"),
+    ("analyze", "--family", "exceptional(4,7)", "--seed", "2"),
 ]
 
 

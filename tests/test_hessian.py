@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildforms import hessian, linalg, polymat
-from wildforms.apolar import apolar_basis
+from wildforms.apolar import CatalecticantSlice, apolar_basis
+from wildforms.bounds import wild_certificate
 from wildforms.families import build
 from wildforms.hessian import (
     BudgetExceeded,
-    MixedHessian,
     RankPolicy,
     evaluated_rank,
     generic_rank,
@@ -31,9 +31,9 @@ from wildforms.hessian import (
 from wildforms.linalg import matching, max_matching
 from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
-from helpers import (VAR_LETTERS, random_form, random_linear,
-                     reference_evaluated_rank, reference_multiplication_map_rank,
-                     sheared_perazzo, to_sympy)
+from helpers import (VAR_LETTERS, hessian_with_entries, random_form, random_linear,
+                     reference_evaluated_rank, reference_mixed_hessian_entries,
+                     reference_multiplication_map_rank, sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 
@@ -65,6 +65,55 @@ class TestMixedHessian:
             for i in range(a.nrows):
                 for j in range(a.ncols):
                     assert a.entries[i][j] == b.entries[j][i]
+
+
+# at least one member of every buildable family
+BUILDABLE_MEMBERS = [("perazzo", 0), ("bb-cubic", 0), ("ikeda", 0),
+                     ("exceptional(2,3)", 1), ("exceptional(3,5)", 2),
+                     ("monomial-spread(1,3)", 0), ("monomial-spread(2,2)", 0),
+                     ("power-family(2)", 0), ("power-family(3)", 0),
+                     ("power-family(4)", 0), ("exceptional(3,7)", 1)]
+
+
+class TestLazyEntries:
+    @pytest.mark.parametrize("spec,seed", BUILDABLE_MEMBERS)
+    def test_shape_and_support_build_no_entry(self, spec, seed):
+        f = build(spec, seed=seed).form
+        for k in range(f.degree + 1):
+            for l in range(f.degree - k + 1):
+                hess = mixed_hessian(f, k, l)
+                hess.support_bound, hess.nrows, hess.ncols, hess.support
+                assert "entries" not in vars(hess)
+                assert (hess.nrows, hess.ncols) == (len(hess.row_basis),
+                                                    len(hess.col_basis))
+
+    @pytest.mark.parametrize("spec,seed", BUILDABLE_MEMBERS)
+    def test_entries_match_the_eager_build(self, spec, seed):
+        f = build(spec, seed=seed).form
+        for k in range(f.degree + 1):
+            for l in range(f.degree - k + 1):
+                hess = mixed_hessian(f, k, l)
+                expected = reference_mixed_hessian_entries(f, k, l)
+                assert hess.entries == expected
+                assert hess.entries is hess.entries
+                assert hess.support == [{j for j, e in enumerate(row) if e is not None}
+                                        for row in expected]
+                for got_row, want_row in zip(hess.entries, expected):
+                    for got, want in zip(got_row, want_row):
+                        if want is not None:
+                            assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_support_settled_certificate_builds_no_entry(self, monkeypatch):
+        """exceptional(3,7)'s cactus claim is settled by support matching,
+        so its certificate reads no Hessian entry at all."""
+
+        def refuse(self, i):
+            raise AssertionError("a Hessian entry was built")
+
+        member = build("exceptional(3,7)", seed=1)
+        monkeypatch.setattr(CatalecticantSlice, "row_image", refuse)
+        cert = wild_certificate(member.form, member.strategy)
+        assert cert["cactus"]["evidence"]["method"] == "support-matching"
 
 
 class TestGenericRankLadder:
@@ -218,7 +267,7 @@ class TestClosureRung:
                                 [{0, 1, 2}, {0, 1}], guard) is None
         rows = [[x, y, z, {}], [x, y, {}, w], [{}, {}, {}, w], [{}, {}, {}, w]]
         entries = [[polymat.to_form(e, tuple("xyzw")) for e in row] for row in rows]
-        hess = MixedHessian(parse("x^3", "xyzw"), 1, 1, None, None, entries)
+        hess = hessian_with_entries(parse("x^3", "xyzw"), 1, 1, entries)
         shapes = []
         jordan = polymat.bareiss_jordan
 
@@ -347,7 +396,7 @@ class TestEvaluatedRankAgainstReference:
 
     def test_empty_basis(self):
         for entries in ([], [[], []]):
-            hess = MixedHessian(FERMAT, 1, 1, None, None, entries)
+            hess = hessian_with_entries(FERMAT, 1, 1, entries)
             assert evaluated_rank(hess, (1, 2, 3)) == 0
             assert reference_evaluated_rank(hess, (1, 2, 3)) == 0
 

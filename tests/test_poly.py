@@ -27,7 +27,40 @@ from wildforms.poly import (
     scale,
 )
 
-from helpers import random_form, random_linear, reference_form_sum, reference_power
+from wildforms import poly
+
+from helpers import (random_form, random_linear, reference_collect, reference_form_sum,
+                     reference_power, reference_render)
+
+
+def _rational_form(rng: random.Random, variables, degree: int, density: float = 0.6) -> Form:
+    """Seeded nonzero form with Fraction coefficients of mixed denominators."""
+    while True:
+        terms = {e: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 4, 6, 9]))
+                 for e in monomials(len(variables), degree) if rng.random() < density}
+        f = make_form(variables, terms)
+        if f is not None:
+            return f
+
+
+def _comes_back(pairs) -> bool:
+    """Whether some exponent's running sum cancels and is nonzero again."""
+    running: dict = {}
+    gone = set()
+    for e, c in pairs:
+        running[e] = running.get(e, 0) + c
+        if running[e] == 0:
+            gone.add(e)
+        elif e in gone:
+            return True
+    return False
+
+
+def _same_terms(got, expected) -> None:
+    assert got == expected
+    if expected is not None:
+        assert list(got.terms.items()) == list(expected.terms.items())
+        assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 class TestParseRender:
@@ -64,6 +97,28 @@ class TestParseRender:
         text = render(f)
         assert parse(text, names) == f
         assert render(parse(text, names)) == text
+
+    def test_render_matches_the_old_text(self):
+        """Negative, unit, integer and non-integer coefficients, on
+        constants and on monomials, print as the old Fraction route did."""
+        rng = random.Random(31)
+        coefficients = [1, -1, 2, -7, 12, Fraction(1, 2), Fraction(-3, 4),
+                        Fraction(5, 3), Fraction(-1, 9), Fraction(-11, 2)]
+        checked = 0
+        for _ in range(300):
+            variables = "xyz"[:rng.randint(1, 3)]
+            terms = {e: rng.choice(coefficients)
+                     for e in monomials(len(variables), rng.randint(0, 3))
+                     if rng.random() < 0.6}
+            if terms:
+                f = make_form(variables, terms)
+                assert render(f) == reference_render(f)
+                checked += 1
+        assert checked >= 200
+        for value, text in ((1, "1"), (-1, "-1"), (Fraction(-3, 2), "-3/2"), (12, "12")):
+            assert render(constant("xy", value)) == text
+        assert render(parse("-x^2 + 1/2*x*y - y^2 - 3/4*x*z", "xyz")) == \
+            "-x^2 + 1/2*x*y - 3/4*x*z - y^2"
 
     def test_zero_parses_to_none(self):
         assert parse("0", "xy") is None
@@ -187,6 +242,48 @@ class TestFormSum:
                 if expected is not None:
                     assert list(got.terms.items()) == list(expected.terms.items())
 
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_mixed_denominators_match_the_fold(self, seed):
+        """Fraction parts over mixed denominators, with total and partial
+        cancellations and exponents that cancel and come back."""
+        rng = random.Random(seed)
+        came_back = cancelled = 0
+        for _ in range(40):
+            variables = "xyz"[:rng.randint(1, 3)]
+            degree = rng.randint(0, 4)
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                total = reference_form_sum(parts)
+                roll = rng.random()
+                if roll < 0.3 and total is not None:
+                    kept = {e: -c for e, c in total.terms.items() if rng.random() < 0.5}
+                    parts.append(make_form(variables, kept) if kept else -total)
+                elif roll < 0.45 and parts and parts[-1] is not None:
+                    # minus a multiple of the last part: cancels its terms
+                    # outright for the multiple 1, partly otherwise
+                    parts.append(scale(parts[-1], Fraction(-rng.randint(1, 3), 2)))
+                else:
+                    parts.append(_rational_form(rng, variables, degree))
+            expected = reference_form_sum(parts)
+            _same_terms(form_sum(parts), expected)
+            pairs = [item for part in parts if part is not None
+                     for item in part.terms.items()]
+            assert list(poly._collect(pairs).items()) == \
+                list(reference_collect(pairs).items())
+            cancelled += expected is None
+            came_back += _comes_back(pairs)
+        assert cancelled >= 2 and came_back >= 5
+
+    def test_cancel_and_come_back_goes_to_the_end(self):
+        V = "xy"
+        parts = [parse("x^2 + 1/2*x*y", V), parse("-1/2*x*y + 1/3*y^2", V),
+                 parse("3/4*x*y - x^2", V), parse("2/3*x^2", V)]
+        got = form_sum(parts)
+        _same_terms(got, reference_form_sum(parts))
+        assert list(got.terms) == [(0, 2), (1, 1), (2, 0)]
+        assert got.terms == {(0, 2): Fraction(1, 3), (1, 1): Fraction(3, 4),
+                             (2, 0): Fraction(2, 3)}
+
     def test_edge_inputs(self):
         f = parse("x^2 - y^2", "xy")
         assert form_sum([]) is None
@@ -229,6 +326,56 @@ class TestFormSum:
                 with pytest.raises(TypeError) as info:
                     form_sum(parts)
                 assert str(info.value) == message
+
+
+class TestProductsAgainstTheFold:
+    """``multiply`` and ``apply`` add all their term products in one
+    pass; the fold of the same products, as monomials, gives the same
+    terms in the same order."""
+
+    def test_multiply(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            variables = "xyz"[:rng.randint(1, 3)]
+            f = _rational_form(rng, variables, rng.randint(0, 3))
+            g = _rational_form(rng, variables, rng.randint(0, 3))
+            parts = [monomial(variables, tuple(a + b for a, b in zip(ef, eg)), cf * cg)
+                     for ef, cf in f.terms.items() for eg, cg in g.terms.items()]
+            _same_terms(multiply(f, g), reference_form_sum(parts))
+
+    def test_multiply_cancels_and_comes_back(self):
+        # x^3*y cancels for good; x^2*y^2 gets 1/4, then -1/4, then 1
+        f = parse("x^2 + 1/2*x*y + y^2", "xy")
+        g = parse("x^2 - 1/2*x*y + 1/4*y^2", "xy")
+        pairs = [(tuple(a + b for a, b in zip(ef, eg)), cf * cg)
+                 for ef, cf in f.terms.items() for eg, cg in g.terms.items()]
+        assert _comes_back(pairs)
+        got = multiply(f, g)
+        _same_terms(got, reference_form_sum(monomial("xy", e, c) for e, c in pairs))
+        # x^2*y^2 comes back after x*y^3, the first term entered after it cancelled
+        assert list(got.terms) == [(4, 0), (1, 3), (2, 2), (0, 4)]
+
+    def test_apply(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            variables = "xyz"[:rng.randint(1, 3)]
+            d = rng.randint(1, 4)
+            f = _rational_form(rng, variables, d)
+            op = _rational_form(rng, variables, rng.randint(0, d))
+            parts = [monomial(variables, tuple(m - k for m, k in zip(fe, oe)),
+                              oc * fc * math.prod(map(math.perm, fe, oe)))
+                     for oe, oc in op.terms.items() for fe, fc in f.terms.items()
+                     if all(k <= m for m, k in zip(fe, oe))]
+            _same_terms(apply(op, f), reference_form_sum(parts))
+
+    def test_apply_cancels_and_comes_back(self):
+        V = "xyzw"
+        op = parse("x - y + 1/2*z", V)
+        f = parse("x*w + y*w + 2*z*w + 1/3*x*y", V)
+        got = apply(op, f)
+        assert got == parse("w + 1/3*y - 1/3*x", V)
+        assert list(got.terms)[-1] == (0, 0, 0, 1)
+        assert apply(parse("x - y", V), parse("x*w + y*w", V)) is None
 
 
 class TestApply:
