@@ -4,10 +4,10 @@ The (k,l) mixed Hessian of f is the matrix of second-kind derivatives
 alpha*beta(f) over the chosen monomial bases of the apolar algebra in
 degrees k and l.  Rank questions about multiplication maps of the
 algebra reduce to evaluated ranks of these matrices, which is what the
-Lefschetz checks use.  A Hessian is built as the row of slice k+l that
-each entry reads, or None for a zero entry; the entry forms themselves
-are built from the slice when ``entries`` is first read, and never for
-a Hessian whose support alone answers the question.
+Lefschetz checks use; no element is sampled when the support of some
+Hessian caps its rank below full (nu, below).  A Hessian is built as
+the row of slice k+l each entry reads, or None for a zero entry; ranks
+read those integer rows, and ``entries`` builds Forms on first read.
 
 Rank certification runs a ladder: exact evaluation at seeded integer
 points gives a certified lower bound, and the bipartite matching
@@ -39,10 +39,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from . import linalg, polymat
-from .apolar import apolar_basis, catalecticant, require_analysis_form
+from .apolar import (CatalecticantSlice, apolar_basis, catalecticant,
+                     require_analysis_form)
 from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply
 
 
@@ -113,18 +115,20 @@ class RankReport:
 class MixedHessian:
     """Matrix [alpha_i beta_j (f)] over apolar basis monomials.
 
-    ``cells[i][j]`` is the stored row of alpha_i + beta_j in slice k+l,
-    or None for a zero entry.  Shape, support and nu read only the
-    cells; ``entries`` builds the Forms on first read."""
+    ``cells[i][j]`` is the stored row of alpha_i + beta_j in ``images``,
+    slice k+l, or None for a zero entry.  Shape, support and nu read
+    only the cells, ranks read the slice's rows, and ``entries`` builds
+    the Forms on first read."""
 
     def __init__(self, form: Form, k: int, l: int, row_basis, col_basis,
-                 cells: list[list[int | None]]):
+                 cells: list[list[int | None]], images: CatalecticantSlice):
         self.form = form
         self.k = k
         self.l = l
         self.row_basis = row_basis
         self.col_basis = col_basis
         self.cells = cells
+        self.images = images
 
     @property
     def nrows(self) -> int:
@@ -141,7 +145,7 @@ class MixedHessian:
     @cached_property
     def entries(self) -> list[list[Form | None]]:
         """alpha_i beta_j (f), or None when zero; built on first read."""
-        row_image = catalecticant(self.form, self.k + self.l).row_image
+        row_image = self.images.row_image
         return [[None if i is None else row_image(i) for i in row]
                 for row in self.cells]
 
@@ -152,9 +156,26 @@ class MixedHessian:
                 for row in self.cells]
 
     @cached_property
+    def read_rows(self) -> dict[int, dict[int, Fraction | int]]:
+        """The slice rows the cells read, by row index."""
+        rows = self.images.rows
+        return {i: rows[i] for line in self.cells for i in line if i is not None}
+
+    @cached_property
     def scale(self) -> int:
-        """lcm of the entries' coefficient denominators."""
-        return polymat.common_scale(self.entries)
+        """lcm of the denominators of the slice cells the entries read."""
+        return math.lcm(*{c.denominator for row in self.read_rows.values()
+                          for c in row.values() if type(c) is not int})
+
+    @cached_property
+    def int_rows(self) -> dict[int, dict[int, int]]:
+        """scale times each row the cells read; int rows at scale 1 as they are."""
+        scale = self.scale
+        return {i: row if scale == 1 and all(type(c) is int for c in row.values())
+                else {j: c * scale if type(c) is int
+                      else c.numerator * (scale // c.denominator)
+                      for j, c in row.items()}
+                for i, row in self.read_rows.items()}
 
     @cached_property
     def support_bound(self) -> int:
@@ -169,10 +190,11 @@ def mixed_hessian(f: Form, k: int, l: int) -> MixedHessian:
         raise ValueError(f"need k, l >= 0 with k+l <= {f.degree}, got ({k}, {l})")
     rows = apolar_basis(f, k)
     cols = apolar_basis(f, l)
-    where = catalecticant(f, k + l).row_index.get
+    images = catalecticant(f, k + l)
+    where = images.row_index.get
     cells = [[where(tuple(map(add, er, ec))) for ec in cols.monomials]
              for er in rows.monomials]
-    return MixedHessian(f, k, l, rows, cols, cells)
+    return MixedHessian(f, k, l, rows, cols, cells, images)
 
 
 def seeded_points(policy: RankPolicy, nvars: int):
@@ -185,44 +207,43 @@ def seeded_points(policy: RankPolicy, nvars: int):
 def evaluated_rank(hess: MixedHessian, point) -> int:
     """Exact rank of the Hessian evaluated at one rational point.
 
-    The work stays in the integers.  Every entry is a form of degree
-    delta = d-k-l, so with D the lcm of the point's denominators and
-    ``scale`` the lcm of the entries' denominators, evaluating
-    scale*entry at the integer point D*p gives scale*D^delta times the
-    entry's value at p.  That is H(p) times one nonzero integer, which
-    has the same rank.
+    The work stays in the integers and builds no entry Form.  Every
+    entry is a form of degree delta = d-k-l, so with D the lcm of the
+    point's denominators and ``scale`` that of the slice cells the
+    entries read, scale*entry at the integer point D*p is scale*D^delta
+    times the entry's value at p: H(p) times one nonzero integer, which
+    has the same rank.  Each column monomial of slice k+l is evaluated
+    once, from repeated products of D*p, and each row the cells read is
+    summed once.
     """
-    if not hess.entries or not hess.entries[0]:
+    cells = hess.cells
+    if not cells or not cells[0]:
         return 0
     if len(point) != hess.form.nvars:
         raise ValueError("point length does not match variable count")
     values = [_as_fraction(v) for v in point]
     lift = math.lcm(*(v.denominator for v in values))
-    powers = [[int(v * lift) ** e for e in range(hess.entry_degree + 1)]
+    powers = [list(accumulate(repeat(v.numerator * (lift // v.denominator),
+                                     hess.entry_degree), mul, initial=1))
               for v in values]
-    scale = hess.scale
-    matrix = []
-    for entries in hess.entries:
-        row = []
-        for entry in entries:
-            total = 0
-            if entry is not None:
-                for exponent, c in entry.terms.items():
-                    term = c.numerator * (scale // c.denominator)
-                    for p, e in zip(powers, exponent):
-                        if e:
-                            term *= p[e]
-                    total += term
-            row.append(total)
-        matrix.append(row)
-    return linalg.rank(matrix)
+    at = [math.prod([p[e] for p, e in zip(powers, beta)])
+          for beta in hess.images.columns]
+    sums = {}
+    for i, row in hess.int_rows.items():
+        total = 0
+        for j, c in row.items():
+            total += c * at[j]
+        sums[i] = total
+    return linalg.rank([[0 if i is None else sums[i] for i in row] for row in cells])
 
 
 def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int, int]:
-    scale = hess.scale
-    guard = polymat.guard_mask(hess.form.nvars)
-    rows = [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
-    return rows, scale, guard
+    """scale times the entries, packed; equal cells share one Poly."""
+    columns = hess.images.columns
+    packed = {i: {polymat.pack(columns[j]): c for j, c in row.items()}
+              for i, row in hess.int_rows.items()}
+    rows = [[{} if i is None else packed[i] for i in row] for row in hess.cells]
+    return rows, hess.scale, polymat.guard_mask(hess.form.nvars)
 
 
 def _closure_kernels(rows: list[list[polymat.Poly]], support: list[set[int]],
@@ -427,20 +448,24 @@ def lefschetz_property(f: Form, prop: str,
 
     Holds when a sampled element passes (existence is enough); fails
     only on a certified generic obstruction; otherwise undetermined.
+    No element is sampled when some Hessian's support matching number
+    is below min(m, n): the rank at every point is at most nu, so no
+    element could pass, and ``generic_rank`` gives the verdict.
     """
     policy = policy or RankPolicy()
     require_analysis_form(f)
     maps = _criterion_maps(f, prop)
     hessians = [mixed_hessian(f, k, l) for k, l in maps]
     required = [min(h.nrows, h.ncols) for h in hessians]
-    for point in seeded_points(policy, f.nvars):
-        achieved = [evaluated_rank(h, point) for h in hessians]
-        if all(a == r for a, r in zip(achieved, required)):
-            checks = [{"hessian": [h.k, h.l], "source": h.l,
-                       "target": f.degree - h.k, "required": r, "achieved": a}
-                      for h, r, a in zip(hessians, required, achieved)]
-            return LefschetzReport(prop, "holds", LinearForm(f.variables, point),
-                                   checks, ["sampled witness element recorded"])
+    if all(h.support_bound == r for h, r in zip(hessians, required)):
+        for point in seeded_points(policy, f.nvars):
+            achieved = [evaluated_rank(h, point) for h in hessians]
+            if all(a == r for a, r in zip(achieved, required)):
+                checks = [{"hessian": [h.k, h.l], "source": h.l,
+                           "target": f.degree - h.k, "required": r, "achieved": a}
+                          for h, r, a in zip(hessians, required, achieved)]
+                return LefschetzReport(prop, "holds", LinearForm(f.variables, point),
+                                       checks, ["sampled witness element recorded"])
     verdict = "undetermined"
     checks = []
     notes = []

@@ -16,7 +16,6 @@ rational functions in sight.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .poly import Form
@@ -123,37 +122,12 @@ def pdivexact(num: Poly, den: Poly, guard: int) -> Poly:
     return quot
 
 
-def from_form(f: "Form | None", scale: int) -> Poly:
-    """Pack scale*f into int coefficients; scale must clear denominators."""
-    if f is None:
-        return {}
-    out: Poly = {}
-    for e, c in f.terms.items():
-        value = c * scale
-        if value.denominator != 1:
-            raise ValueError("scale does not clear the denominators")
-        out[pack(e)] = int(value)
-    return out
-
-
 def to_form(p: Poly, variables: Sequence[str], divide: int = 1) -> "Form | None":
     if not p:
         return None
     n = len(variables)
     terms = {unpack(k, n): Fraction(c, divide) for k, c in p.items()}
     return Form(variables, sum(next(iter(terms))), terms)
-
-
-def common_scale(entries) -> int:
-    """lcm of all coefficient denominators across a matrix of Forms."""
-    scale = 1
-    for row in entries:
-        for f in row:
-            if f is None:
-                continue
-            for c in f.terms.values():
-                scale = lcm(scale, c.denominator)
-    return scale
 
 
 def _forward(rows: list[list[Poly]], guard: int

@@ -20,14 +20,14 @@ from pathlib import Path
 import sympy
 
 from wildforms import linalg, polymat
-from wildforms.apolar import (apolar_basis, catalecticant,
+from wildforms.apolar import (CatalecticantSlice, apolar_basis, catalecticant,
                              maximal_hilbert_through, require_analysis_form)
-from wildforms.hessian import (MixedHessian, RankPolicy, evaluated_rank,
-                               generic_rank, hessian_determinant, mixed_hessian,
-                               seeded_points)
-from wildforms.poly import (Form, LinearForm, apply, constant, form_sum,
-                            make_form, monomial, monomials, multiply, parse,
-                            power)
+from wildforms.hessian import (LefschetzReport, MixedHessian, RankPolicy,
+                               _criterion_maps, evaluated_rank, generic_rank,
+                               hessian_determinant, mixed_hessian, seeded_points)
+from wildforms.poly import (Form, LinearForm, _as_fraction, apply, constant,
+                            form_sum, make_form, monomial, monomials, multiply,
+                            parse, power)
 from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
 from wildforms.powersum import PowerSumDecomposition
 
@@ -257,13 +257,17 @@ def reference_mixed_hessian_entries(f: Form, k: int, l: int) -> list[list[Form |
 def hessian_with_entries(form: Form, k: int, l: int, entries) -> MixedHessian:
     """A hand-built MixedHessian over given entries (None for zero).
 
-    Its cells only mark which entries are nonzero; the entries are set
-    on it, so they are never read from a slice of ``form``.
+    Each nonzero entry is its own row, with integer cells, of a
+    stand-in slice k+l keyed by the entry's position, so the Hessian's
+    ranks, rows and entries read exactly the given entries.
     """
-    cells = [[None if e is None else j for j, e in enumerate(row)] for row in entries]
-    hess = MixedHessian(form, k, l, None, None, cells)
-    hess.entries = entries
-    return hess
+    images = CatalecticantSlice(form, k + l, {
+        (i, j): {e: int(c) if c.denominator == 1 else c for e, c in entry.terms.items()}
+        for i, row in enumerate(entries) for j, entry in enumerate(row)
+        if entry is not None})
+    cells = [[None if entry is None else images.row_index[i, j]
+              for j, entry in enumerate(row)] for i, row in enumerate(entries)]
+    return MixedHessian(form, k, l, None, None, cells, images)
 
 
 def reference_greedy_independent(rows) -> list[int]:
@@ -443,6 +447,107 @@ def reference_evaluated_rank(hess, point) -> int:
     matrix = [[Fraction(0) if e is None else e.evaluate(point) for e in row]
               for row in hess.entries]
     return linalg.rank(matrix)
+
+
+def from_form(f: "Form | None", scale: int) -> Poly:
+    """Pack scale*f into int coefficients; scale must clear denominators.
+    ``polymat.from_form`` before Hessian rows were packed from slice rows."""
+    if f is None:
+        return {}
+    out: Poly = {}
+    for e, c in f.terms.items():
+        value = c * scale
+        if value.denominator != 1:
+            raise ValueError("scale does not clear the denominators")
+        out[polymat.pack(e)] = int(value)
+    return out
+
+
+def common_scale(entries) -> int:
+    """lcm of all coefficient denominators across a matrix of Forms;
+    ``polymat.common_scale`` before the scale was read off slice cells."""
+    scale = 1
+    for row in entries:
+        for f in row:
+            if f is None:
+                continue
+            for c in f.terms.values():
+                scale = math.lcm(scale, c.denominator)
+    return scale
+
+
+def reference_integer_evaluated_rank(hess, point) -> int:
+    """The integer evaluation ``evaluated_rank`` ran over the entry Forms
+    before it read the slice's rows: every entry scaled by the lcm of the
+    entries' denominators, the point by the lcm of its own."""
+    if not hess.entries or not hess.entries[0]:
+        return 0
+    if len(point) != hess.form.nvars:
+        raise ValueError("point length does not match variable count")
+    values = [_as_fraction(v) for v in point]
+    lift = math.lcm(*(v.denominator for v in values))
+    powers = [[int(v * lift) ** e for e in range(hess.entry_degree + 1)]
+              for v in values]
+    scale = common_scale(hess.entries)
+    matrix = []
+    for entries in hess.entries:
+        row = []
+        for entry in entries:
+            total = 0
+            if entry is not None:
+                for exponent, c in entry.terms.items():
+                    term = c.numerator * (scale // c.denominator)
+                    for p, e in zip(powers, exponent):
+                        if e:
+                            term *= p[e]
+                    total += term
+            row.append(total)
+        matrix.append(row)
+    return linalg.rank(matrix)
+
+
+def reference_symbolic_rows(hess) -> tuple[list[list[Poly]], int, int]:
+    """The packed rows ``_symbolic_rows`` built from the entry Forms."""
+    scale = common_scale(hess.entries)
+    guard = polymat.guard_mask(hess.form.nvars)
+    rows = [[from_form(e, scale) for e in row] for row in hess.entries]
+    return rows, scale, guard
+
+
+def reference_lefschetz_property(f: Form, prop: str,
+                                 policy: RankPolicy | None = None) -> LefschetzReport:
+    """``lefschetz_property`` as it was before it skipped sampling that
+    the support bound rules out: every Hessian is evaluated at every
+    seeded point, through the entry Forms."""
+    policy = policy or RankPolicy()
+    require_analysis_form(f)
+    maps = _criterion_maps(f, prop)
+    hessians = [mixed_hessian(f, k, l) for k, l in maps]
+    required = [min(h.nrows, h.ncols) for h in hessians]
+    for point in seeded_points(policy, f.nvars):
+        achieved = [reference_integer_evaluated_rank(h, point) for h in hessians]
+        if all(a == r for a, r in zip(achieved, required)):
+            checks = [{"hessian": [h.k, h.l], "source": h.l,
+                       "target": f.degree - h.k, "required": r, "achieved": a}
+                      for h, r, a in zip(hessians, required, achieved)]
+            return LefschetzReport(prop, "holds", LinearForm(f.variables, point),
+                                   checks, ["sampled witness element recorded"])
+    verdict = "undetermined"
+    checks = []
+    notes = []
+    for h, r in zip(hessians, required):
+        report = generic_rank(h, policy)
+        checks.append({"hessian": [h.k, h.l], "source": h.l,
+                       "target": f.degree - h.k, "required": r,
+                       "achieved": report.value, "certainty": report.certainty})
+        if report.certified and report.value < r:
+            verdict = "fails"
+            notes.append(f"multiplication from degree {h.l} into degree "
+                         f"{f.degree - h.k} has certified generic rank "
+                         f"{report.value} < {r}, for every linear element")
+    if verdict != "fails":
+        notes.append("no sampled element passed and no certified obstruction found")
+    return LefschetzReport(prop, verdict, None, checks, notes)
 
 
 def reference_certify_rank_deficient(f: Form, l: int, s: int, bound: int,

@@ -10,7 +10,8 @@ certificate whose strategy order exceeds the form's conciseness, one
 whose evaluated Hessian splits into many incidence components,
 rational coefficients, ``hilbert`` of odd and even degree,
 ``hessian`` with k = l and k < l, ``lefschetz``
-with sampled and given (rational) elements, and ``binary-rank``,
+with sampled and given (rational) elements and with sampling ruled
+out by support matching, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
 symbolic kernel member decides, up to four parameters, one whose
 kernels are mostly unit operators for monomials with no stored slice
@@ -38,7 +39,11 @@ of the rational binary quintic by commit a95aa92, whose kernels still
 ran dense over every degree-k monomial, and ``analyze`` of
 exceptional(3,7) and exceptional(4,7) by commit 5253eb9, which still
 found linear powers by eliminating slice 1 and built every mixed
-Hessian entry eagerly), from the root of its
+Hessian entry eagerly, and the ``lefschetz`` digests of
+exceptional(2,3) and power-family(3) and ``hessian`` of
+exceptional(3,5) at k = l = 2 by commit ea2d9de, which evaluated
+Hessians and packed their symbolic rows through entry Forms and sampled
+elements for every Lefschetz check), from the root of its
 checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
@@ -129,6 +134,13 @@ COMMANDS = [
     # and the cactus bound reads the degenerate (2,2) Hessian
     ("analyze", "--family", "exceptional(3,7)", "--seed", "1"),
     ("analyze", "--family", "exceptional(4,7)", "--seed", "2"),
+    # every Hessian's support matching number is below its size, so no
+    # element is sampled and generic_rank gives the verdict
+    ("lefschetz", "--family", "exceptional(2,3)", "--seed", "1", "--slp"),
+    ("lefschetz", "--family", "power-family(3)", "--wlp"),
+    # rows read once from slice 4, with the matching-closure kernel witness
+    ("hessian", "--family", "exceptional(3,5)", "--seed", "1", "--k", "2",
+     "--l", "2", "--max-symbolic-dim", "16"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -31,9 +32,12 @@ from wildforms.hessian import (
 from wildforms.linalg import matching, max_matching
 from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
-from helpers import (VAR_LETTERS, hessian_with_entries, random_form, random_linear,
-                     reference_evaluated_rank, reference_mixed_hessian_entries,
-                     reference_multiplication_map_rank, sheared_perazzo, to_sympy)
+from helpers import (VAR_LETTERS, from_form, hessian_with_entries, random_form,
+                     random_linear, reference_evaluated_rank,
+                     reference_integer_evaluated_rank, reference_lefschetz_property,
+                     reference_mixed_hessian_entries,
+                     reference_multiplication_map_rank, reference_symbolic_rows,
+                     sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 
@@ -281,7 +285,7 @@ class TestClosureRung:
         assert (rep.value, rep.support_bound) == (3, 3)
         assert rep.certainty == "certified-symbolic"
         assert shapes == [(2, 3), (4, 4)]
-        assert _annihilates(rows, [polymat.from_form(e, 1) for e in rep.kernel_witness])
+        assert _annihilates(rows, [from_form(e, 1) for e in rep.kernel_witness])
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(_sparse_poly_matrices())
@@ -406,6 +410,187 @@ class TestEvaluatedRankAgainstReference:
             evaluated_rank(hess, (1, 2))
         with pytest.raises(TypeError):
             evaluated_rank(hess, (1.0, 2, 3))
+
+
+@contextlib.contextmanager
+def entry_routes():
+    """Run the rank ladder through the routes that read entry Forms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hessian, "evaluated_rank", reference_integer_evaluated_rank)
+        mp.setattr(hessian, "_symbolic_rows", reference_symbolic_rows)
+        yield
+
+
+@contextlib.contextmanager
+def no_entry_forms():
+    """Fail on any entry Form built from a slice row."""
+
+    def refuse(self, i):
+        raise AssertionError("a Hessian entry was built")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CatalecticantSlice, "row_image", refuse)
+        yield
+
+
+def reference_rank_report(f, k, l, policy=None) -> dict:
+    with entry_routes():
+        return generic_rank(mixed_hessian(f, k, l), policy).to_dict()
+
+
+def reference_lefschetz(f, prop, policy=None) -> dict:
+    with entry_routes():
+        return reference_lefschetz_property(f, prop, policy).to_dict()
+
+
+class TestSliceRowsAgainstEntryRoutes:
+    """Evaluation and symbolic rows read the slice's integer rows, and
+    sampling the support bound rules out is skipped; the routes through
+    the entry Forms give the same ranks, rows and reports."""
+
+    @staticmethod
+    def _check_hessian(hess, points):
+        for point in points:
+            assert evaluated_rank(hess, point) == \
+                reference_integer_evaluated_rank(hess, point), point
+        got, want = _symbolic_rows(hess), reference_symbolic_rows(hess)
+        assert got == want
+        # term order too, which the elimination's products follow
+        assert [[list(e.items()) for e in row] for row in got[0]] == \
+            [[list(e.items()) for e in row] for row in want[0]]
+        return got[1]
+
+    # power-family(4) has degree 15; its 136 Hessians take 23 s to rank
+    # twice, and power-family(2) and (3) stand for its family
+    @pytest.mark.parametrize("spec,seed", [m for m in BUILDABLE_MEMBERS
+                                           if m[0] != "power-family(4)"])
+    def test_family_members(self, spec, seed):
+        f = build(spec, seed=seed).form
+        rng = random.Random(601)
+        points = list(seeded_points(RankPolicy(seed=seed, trials=2), f.nvars))
+        points += list(evaluation_points(rng, f.nvars))[2:4]
+        policy = RankPolicy(max_symbolic_dim=16)
+        for k in range(f.degree + 1):
+            for l in range(f.degree - k + 1):
+                self._check_hessian(mixed_hessian(f, k, l), points)
+                assert generic_rank(mixed_hessian(f, k, l), policy).to_dict() == \
+                    reference_rank_report(f, k, l, policy)
+        for prop in ("wlp", "slp"):
+            assert lefschetz_property(f, prop).to_dict() == reference_lefschetz(f, prop)
+
+    def test_rational_forms_and_points(self):
+        rng = random.Random(607)
+        scales = set()
+        lifted = 0
+        for _ in range(16):
+            nvars, degree = rng.randint(2, 4), rng.randint(2, 5)
+            f = rational_form(rng, nvars, degree)
+            points = list(evaluation_points(rng, nvars))
+            lifted += sum(any(Fraction(v).denominator > 1 for v in p) for p in points)
+            for k in range(degree + 1):
+                for l in range(degree - k + 1):
+                    scales.add(self._check_hessian(mixed_hessian(f, k, l), points))
+                    assert generic_rank(mixed_hessian(f, k, l)).to_dict() == \
+                        reference_rank_report(f, k, l)
+            for prop in ("wlp", "slp"):
+                assert lefschetz_property(f, prop).to_dict() == \
+                    reference_lefschetz(f, prop)
+        assert max(scales) > 1 and lifted > 0
+
+    def test_scale_and_rows_build_no_entry(self):
+        hess = mixed_hessian(rational_form(random.Random(613), 3, 4), 1, 2)
+        assert hess.scale > 1
+        hess.int_rows
+        evaluated_rank(hess, (1, Fraction(2, 3), 5))
+        _symbolic_rows(hess)
+        assert "entries" not in vars(hess)
+
+
+SYMBOLIC_RUNGS = [("perazzo", 0, 1, 1), ("bb-cubic", 0, 1, 1), ("ikeda", 0, 2, 2),
+                  ("exceptional(2,3)", 1, 2, 2), ("exceptional(3,5)", 1, 2, 2)]
+
+
+class TestNoEntryForm:
+    """The rank paths build no entry Form, and give the entry routes' results."""
+
+    def test_evaluated_rank(self):
+        rng = random.Random(617)
+        cases = [(build(spec, seed=seed).form, k, l) for spec, seed, k, l in SYMBOLIC_RUNGS]
+        cases += [(rational_form(rng, 3, 4), k, l) for k, l in ((1, 1), (1, 2), (2, 2))]
+        for f, k, l in cases:
+            points = list(evaluation_points(rng, f.nvars))
+            want = [reference_integer_evaluated_rank(mixed_hessian(f, k, l), p)
+                    for p in points]
+            with no_entry_forms():
+                hess = mixed_hessian(f, k, l)
+                assert [evaluated_rank(hess, p) for p in points] == want
+
+    @pytest.mark.parametrize("spec,seed,k,l", SYMBOLIC_RUNGS)
+    def test_generic_rank_symbolic_rung(self, spec, seed, k, l):
+        f = build(spec, seed=seed).form
+        policy = RankPolicy(max_symbolic_dim=16)
+        want = reference_rank_report(f, k, l, policy)
+        with no_entry_forms():
+            got = generic_rank(mixed_hessian(f, k, l), policy).to_dict()
+        assert got["certainty"] == "certified-symbolic" and got["degenerate"]
+        assert got["kernel_witness"] and got == want
+
+    def test_sheared_and_rational_symbolic_rung(self):
+        rng = random.Random(619)
+        for f in (sheared_perazzo(), rational_form(rng, 3, 3), rational_form(rng, 4, 3)):
+            want = reference_rank_report(f, 1, 1)
+            with no_entry_forms():
+                assert generic_rank(mixed_hessian(f, 1, 1)).to_dict() == want
+
+    @pytest.mark.parametrize("f,k", [
+        (FERMAT, 1), (parse("1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3", "xyz"), 1),
+        (build("perazzo").form, 1), (build("ikeda").form, 1)])
+    def test_hessian_determinant(self, f, k):
+        with entry_routes():
+            want = hessian_determinant(f, k)
+        with no_entry_forms():
+            assert hessian_determinant(f, k) == want
+
+    @pytest.mark.parametrize("spec,seed", [
+        ("ikeda", 0), ("perazzo", 0), ("exceptional(2,3)", 1), ("power-family(3)", 0),
+        ("monomial-spread(2,2)", 0)])
+    def test_lefschetz_property(self, spec, seed):
+        f = build(spec, seed=seed).form
+        for prop in ("wlp", "slp"):
+            want = reference_lefschetz(f, prop)
+            with no_entry_forms():
+                assert lefschetz_property(f, prop).to_dict() == want
+
+    def test_lefschetz_samples_only_a_reachable_rank(self, monkeypatch):
+        """Every exceptional(2,3) has a Hessian whose nu is below its size,
+        so no element is sampled; all evaluations are generic_rank's."""
+        outside = []
+        depth = [0]
+        ranked, evaluated = hessian.generic_rank, hessian.evaluated_rank
+
+        def ladder(*args):
+            depth[0] += 1
+            try:
+                return ranked(*args)
+            finally:
+                depth[0] -= 1
+
+        def evaluation(*args):
+            if not depth[0]:
+                outside.append(args)
+            return evaluated(*args)
+
+        monkeypatch.setattr(hessian, "generic_rank", ladder)
+        monkeypatch.setattr(hessian, "evaluated_rank", evaluation)
+        for seed in range(4):
+            f = build("exceptional(2,3)", seed=seed).form
+            for prop in ("wlp", "slp"):
+                rep = lefschetz_property(f, prop)
+                assert rep.verdict == "fails" and rep.element is None
+        assert outside == []
+        # a reachable rank is still sampled
+        assert lefschetz_property(FERMAT, "slp").verdict == "holds"
+        assert outside
 
 
 class TestSeededPoints:

@@ -23,8 +23,9 @@ from wildforms.linalg import (
 )
 from wildforms.poly import apply, monomial, monomials
 
-from helpers import (reference_bareiss_det, reference_bareiss_jordan,
-                     reference_dense_nullspace, reference_greedy_independent,
+from helpers import (common_scale, from_form, reference_bareiss_det,
+                     reference_bareiss_jordan, reference_dense_nullspace,
+                     reference_greedy_independent,
                      reference_kernel_vector, reference_matching,
                      reference_nullspace, reference_rank, reference_solve_columns)
 
@@ -465,7 +466,7 @@ class TestPolymat:
     def test_form_round_trip(self):
         from wildforms.poly import parse
         f = parse("x^2*y - 1/3*y^3", "xy")
-        packed = polymat.from_form(f, 3)
+        packed = from_form(f, 3)
         back = polymat.to_form(packed, "xy", divide=3)
         assert back == f
         assert polymat.to_form({}, "xy") is None
@@ -474,7 +475,7 @@ class TestPolymat:
         from wildforms.poly import parse
         rows = [[parse("1/2*x^2", "xy"), None],
                 [parse("x*y - 1/3*y^2", "xy"), parse("5*x^2", "xy")]]
-        assert polymat.common_scale(rows) == 6
+        assert common_scale(rows) == 6
 
 
 def product_matrix(rng, m, n, inner):
@@ -498,8 +499,8 @@ def product_matrix(rng, m, n, inner):
 def hessian_rows(f, k, l):
     from wildforms.hessian import mixed_hessian
     hess = mixed_hessian(f, k, l)
-    scale = polymat.common_scale(hess.entries)
-    return [[polymat.from_form(e, scale) for e in row] for row in hess.entries]
+    scale = common_scale(hess.entries)
+    return [[from_form(e, scale) for e in row] for row in hess.entries]
 
 
 @st.composite
