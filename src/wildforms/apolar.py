@@ -14,14 +14,17 @@ that pass interned, so a slice's columns share their tuples with
 another slice's rows; a single-degree request enumerates only that
 degree.  A slice links back to its form only weakly, so the form and
 its slices make no reference cycle and are freed by reference counting
-as soon as the form is dropped.  Integer coefficients give plain
-``int`` cells.  A slice is eliminated only when its rank or basis rows
-are first read, and then once: that one exact elimination gives both,
-and ``apolar_basis`` reads the rows off the slice (see linalg for the
-details).  Slices read only for their images, such as a mixed
-Hessian's slice k+l, are never eliminated.  A kernel is read off the
-stored rows alone: a degree-k monomial with no stored row is a unit
-operator, and only the stored rows go through ``linalg.nullspace``.
+as soon as the form is dropped.  Every cell is an ``int``: a slice
+stores its entries times one ``denominator``, the lcm of the form's
+coefficient denominators, so ranks, basis rows, kernels and Hessian
+rows read the cells as they are.  A slice is eliminated only when its
+rank or basis rows are first read, and then once: that one exact
+elimination gives both, and ``apolar_basis`` reads the rows off the
+slice (see linalg for the details).  Slices read only for their
+images, such as a mixed Hessian's slice k+l, are never eliminated.  A
+kernel is read off the stored rows alone: a degree-k monomial with no
+stored row is a unit operator, and only the stored rows go through
+``linalg.nullspace``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property
-from math import comb, perm
+from math import comb, lcm, perm
 
 from . import linalg
 from .poly import DiffOp, Exponent, Form, monomial, monomials
@@ -49,8 +52,8 @@ def require_analysis_form(f: object) -> Form:
 _ZERO = (0,)
 
 
-def _divisors(e: Exponent, lo: int, hi: int, scale: Fraction | int
-              ) -> list[tuple[Exponent, Exponent, int, Fraction | int]]:
+def _divisors(e: Exponent, lo: int, hi: int, scale: int
+              ) -> list[tuple[Exponent, Exponent, int, int]]:
     """Every alpha <= e with lo <= |alpha| <= hi, as (alpha, e - alpha,
     |alpha|, scale * prod perm(e_i, alpha_i)), for e of degree >= 1.
 
@@ -58,7 +61,7 @@ def _divisors(e: Exponent, lo: int, hi: int, scale: Fraction | int
     still complete into the window, so no partial divisor is a dead end;
     a zero exponent has the one choice 0.
     """
-    partial: list[tuple[Exponent, Exponent, int, Fraction | int]] = [((), (), 0, scale)]
+    partial: list[tuple[Exponent, Exponent, int, int]] = [((), (), 0, scale)]
     rest = sum(e)
     for ei in e:
         if not ei:
@@ -72,23 +75,22 @@ def _divisors(e: Exponent, lo: int, hi: int, scale: Fraction | int
     return partial
 
 
-def _slice_images(form: Form, degrees: list[int]
-                  ) -> dict[int, dict[Exponent, dict[Exponent, Fraction | int]]]:
+def _slice_images(form: Form, degrees: list[int], denominator: int
+                  ) -> dict[int, dict[Exponent, dict[Exponent, int]]]:
     """Row alpha -> {column e - alpha: cell} of every slice in ``degrees``,
-    from one pass over each term's divisors of degree in their span.
+    from one pass over each term's divisors of degree in their span; a
+    cell is its entry times ``denominator``.
 
     Equal exponent tuples are interned across the pass, so rows of one
     slice and columns of another share their tuples.
     """
-    images: dict[int, dict[Exponent, dict[Exponent, Fraction | int]]] = {
-        k: {} for k in degrees}
+    images: dict[int, dict[Exponent, dict[Exponent, int]]] = {k: {} for k in degrees}
     shared: dict[Exponent, Exponent] = {}
     intern = shared.setdefault
     lo, hi = min(degrees), max(degrees)
     for e, c in form.terms.items():
-        if c.denominator == 1:
-            c = c.numerator
-        for alpha, beta, k, cell in _divisors(e, lo, hi, c):
+        lifted = c.numerator * (denominator // c.denominator)
+        for alpha, beta, k, cell in _divisors(e, lo, hi, lifted):
             image = images.get(k)
             if image is None:
                 continue
@@ -107,10 +109,10 @@ class CatalecticantSlice:
     distinct terms never share a cell.  Only the nonzero rows are kept,
     graded-lex descending in ``row_monomials``; ``rows`` index their
     columns into ``columns``, the nonzero columns, graded-lex descending.
-    A cell is an ``int`` when its value is an integer and a Fraction
-    otherwise.  ``basis_rows`` are the greedy-first independent rows in
-    that order, and the rank is their count; both come from one
-    elimination, run when either is first read.
+    Each cell is an ``int``, the entry times ``denominator``, one
+    positive scalar for the slice.  ``basis_rows`` are the greedy-first
+    independent rows in that order, and the rank is their count; both
+    come from one elimination, run when either is first read.
 
     The slice keeps the form's ``variables`` and ``degree`` and holds
     the form itself only through a weak reference (``form`` is None once
@@ -119,17 +121,18 @@ class CatalecticantSlice:
     """
 
     def __init__(self, form: Form, k: int,
-                 images: dict[Exponent, dict[Exponent, Fraction | int]]):
+                 images: dict[Exponent, dict[Exponent, int]], denominator: int):
         self._form = weakref.ref(form)
         self.variables = form.variables
         self.degree = form.degree
         self.k = k
+        self.denominator = denominator
         self.columns: list[Exponent] = sorted(
             {beta for image in images.values() for beta in image}, reverse=True)
         col_index = {beta: j for j, beta in enumerate(self.columns)}
         self.row_monomials: list[Exponent] = sorted(images, reverse=True)
         self.row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
-        self.rows: list[dict[int, Fraction | int]] = [
+        self.rows: list[dict[int, int]] = [
             {col_index[beta]: c for beta, c in images[alpha].items()}
             for alpha in self.row_monomials]
 
@@ -162,9 +165,9 @@ class CatalecticantSlice:
 
     def row_image(self, i: int) -> Form:
         """Stored row i as a Form: row_monomials[i] applied to the form."""
-        columns = self.columns
+        columns, denominator = self.columns, self.denominator
         return Form._trusted(self.variables, self.degree - self.k,
-                             {columns[j]: Fraction(c) if type(c) is int else c
+                             {columns[j]: Fraction(c, denominator)
                               for j, c in self.rows[i].items()})
 
     @cached_property
@@ -212,9 +215,11 @@ def catalecticant(f: Form, k: int, through: int | None = None) -> CatalecticantS
             degrees = [j for j in range(through + 1) if j not in slices]
         else:
             raise ValueError(f"window 0..{through} must hold {k} and lie in 0..{f.degree}")
-        images = _slice_images(f, degrees)
+        denominator = (next(iter(slices.values())).denominator if slices
+                       else lcm(*(c.denominator for c in f.terms.values())))
+        images = _slice_images(f, degrees, denominator)
         for j in degrees:
-            slices[j] = CatalecticantSlice(f, j, images.pop(j))
+            slices[j] = CatalecticantSlice(f, j, images.pop(j), denominator)
         slice_ = slices[k]
     return slice_
 

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
-from .apolar import (conciseness, hilbert, maximal_hilbert_through,
+from .apolar import (catalecticant, conciseness, hilbert, maximal_hilbert_through,
                      require_analysis_form)
 from .hessian import RankPolicy, generic_rank, mixed_hessian
 from .poly import Form, bigrade, form_sum, make_form, render
@@ -191,6 +190,10 @@ def slice_rank_vanishing(f: Form, x_vars, u_vars) -> dict | None:
     degree-k monomials in the u-variables; s above that count leaves
     some row of every determinant term in a vanished block, so the
     k-th Hessian determinant vanishes identically.
+
+    The matrix is read off catalecticant slice k: its pure-x row alpha
+    is coefficient row alpha times alpha! and the slice's denominator,
+    so the pure-x rows have rank s.
     """
     require_analysis_form(f)
     try:
@@ -199,14 +202,10 @@ def slice_rank_vanishing(f: Form, x_vars, u_vars) -> dict | None:
         return None
     if k < 1 or k >= e:
         return None
-    index = {v: i for i, v in enumerate(f.variables)}
-    x_pos = [index[v] for v in x_vars]
-    u_pos = [index[v] for v in u_vars]
-    rows: dict[tuple, dict[tuple, Fraction]] = {}
-    for exponent, c in f.terms.items():
-        xm = tuple(exponent[i] for i in x_pos)
-        rows.setdefault(xm, {})[tuple(exponent[i] for i in u_pos)] = c
-    s = linalg.sparse_rank(list(rows.values()))
+    u_pos = [f.variables.index(v) for v in u_vars]
+    slice_ = catalecticant(f, k)
+    s = linalg.sparse_rank([row for alpha, row in zip(slice_.row_monomials, slice_.rows)
+                            if not any(alpha[i] for i in u_pos)])
     threshold = math.comb(len(u_vars) + k - 1, k)
     if s <= threshold:
         return None

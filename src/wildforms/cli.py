@@ -42,9 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="variable partition like 'X=x,y;U=u,v'")
     shared.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--rank-trials", type=int, default=8)
-    shared.add_argument("--max-symbolic-dim", type=int, default=12)
+    shared.add_argument("--seed", type=int, default=RankPolicy.seed)
+    shared.add_argument("--rank-trials", type=int, default=RankPolicy.trials)
+    shared.add_argument("--max-symbolic-dim", type=int,
+                        default=RankPolicy.max_symbolic_dim)
     shared.add_argument("--strict", action="store_true",
                         help="refuse instead of degrading to sampled evidence")
     shared.add_argument("--deterministic", action="store_true",

@@ -7,7 +7,8 @@ algebra reduce to evaluated ranks of these matrices, which is what the
 Lefschetz checks use; no element is sampled when the support of some
 Hessian caps its rank below full (nu, below).  A Hessian is built as
 the row of slice k+l each entry reads, or None for a zero entry; ranks
-read those integer rows, and ``entries`` builds Forms on first read.
+read those rows, the entries times the slice's integer ``denominator``,
+and ``entries`` builds Forms on first read.
 
 Rank certification runs a ladder: exact evaluation at seeded integer
 points gives a certified lower bound, and the bipartite matching
@@ -78,7 +79,6 @@ class RankReport:
     method: str
     nrows: int
     ncols: int
-    degenerate: bool
     support_bound: int
     trials: int = 0
     witness_point: tuple | None = None
@@ -89,6 +89,10 @@ class RankReport:
     @property
     def certified(self) -> bool:
         return self.certainty != "probabilistic"
+
+    @property
+    def degenerate(self) -> bool:
+        return self.value < min(self.nrows, self.ncols)
 
     def to_dict(self) -> dict:
         out = {
@@ -117,8 +121,8 @@ class MixedHessian:
 
     ``cells[i][j]`` is the stored row of alpha_i + beta_j in ``images``,
     slice k+l, or None for a zero entry.  Shape, support and nu read
-    only the cells, ranks read the slice's rows, and ``entries`` builds
-    the Forms on first read."""
+    only the cells, ranks read the slice's rows (the entries times
+    ``images.denominator``), and ``entries`` builds Forms on first read."""
 
     def __init__(self, form: Form, k: int, l: int, row_basis, col_basis,
                  cells: list[list[int | None]], images: CatalecticantSlice):
@@ -156,26 +160,10 @@ class MixedHessian:
                 for row in self.cells]
 
     @cached_property
-    def read_rows(self) -> dict[int, dict[int, Fraction | int]]:
+    def read_rows(self) -> dict[int, dict[int, int]]:
         """The slice rows the cells read, by row index."""
         rows = self.images.rows
         return {i: rows[i] for line in self.cells for i in line if i is not None}
-
-    @cached_property
-    def scale(self) -> int:
-        """lcm of the denominators of the slice cells the entries read."""
-        return math.lcm(*{c.denominator for row in self.read_rows.values()
-                          for c in row.values() if type(c) is not int})
-
-    @cached_property
-    def int_rows(self) -> dict[int, dict[int, int]]:
-        """scale times each row the cells read; int rows at scale 1 as they are."""
-        scale = self.scale
-        return {i: row if scale == 1 and all(type(c) is int for c in row.values())
-                else {j: c * scale if type(c) is int
-                      else c.numerator * (scale // c.denominator)
-                      for j, c in row.items()}
-                for i, row in self.read_rows.items()}
 
     @cached_property
     def support_bound(self) -> int:
@@ -208,13 +196,13 @@ def evaluated_rank(hess: MixedHessian, point) -> int:
     """Exact rank of the Hessian evaluated at one rational point.
 
     The work stays in the integers and builds no entry Form.  Every
-    entry is a form of degree delta = d-k-l, so with D the lcm of the
-    point's denominators and ``scale`` that of the slice cells the
-    entries read, scale*entry at the integer point D*p is scale*D^delta
-    times the entry's value at p: H(p) times one nonzero integer, which
-    has the same rank.  Each column monomial of slice k+l is evaluated
-    once, from repeated products of D*p, and each row the cells read is
-    summed once.
+    entry is a form of degree delta = d-k-l, and its slice row holds its
+    coefficients times the slice's ``denominator`` D.  With q the lcm
+    of the point's denominators, that row at the integer point q*p is
+    D*q^delta times the entry's value at p: H(p) times one nonzero
+    integer, which has the same rank.  Each column monomial of slice
+    k+l is evaluated once, from repeated products of q*p, and each row
+    the cells read is summed once.
     """
     cells = hess.cells
     if not cells or not cells[0]:
@@ -229,7 +217,7 @@ def evaluated_rank(hess: MixedHessian, point) -> int:
     at = [math.prod([p[e] for p, e in zip(powers, beta)])
           for beta in hess.images.columns]
     sums = {}
-    for i, row in hess.int_rows.items():
+    for i, row in hess.read_rows.items():
         total = 0
         for j, c in row.items():
             total += c * at[j]
@@ -237,13 +225,14 @@ def evaluated_rank(hess: MixedHessian, point) -> int:
     return linalg.rank([[0 if i is None else sums[i] for i in row] for row in cells])
 
 
-def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int, int]:
-    """scale times the entries, packed; equal cells share one Poly."""
+def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int]:
+    """The entries times the slice's denominator, packed, and the guard
+    mask; equal cells share one Poly."""
     columns = hess.images.columns
     packed = {i: {polymat.pack(columns[j]): c for j, c in row.items()}
-              for i, row in hess.int_rows.items()}
+              for i, row in hess.read_rows.items()}
     rows = [[{} if i is None else packed[i] for i in row] for row in hess.cells]
-    return rows, hess.scale, polymat.guard_mask(hess.form.nvars)
+    return rows, polymat.guard_mask(hess.form.nvars)
 
 
 def _closure_kernels(rows: list[list[polymat.Poly]], support: list[set[int]],
@@ -299,7 +288,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     bound = hess.support_bound
     if cap == 0 or bound == 0:
         return RankReport(0, "certified-structural", "empty support",
-                          m, n, degenerate=cap > 0, support_bound=bound)
+                          m, n, support_bound=bound)
 
     best = 0
     witness = None
@@ -316,12 +305,11 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     if best == cap:
         return RankReport(best, "certified-structural",
                           "evaluation witness at full rank", m, n,
-                          degenerate=False, support_bound=bound,
-                          trials=trials, witness_point=witness)
+                          support_bound=bound, trials=trials, witness_point=witness)
 
     delta = hess.entry_degree
     if max(m, n) <= policy.max_symbolic_dim and delta <= policy.max_entry_degree:
-        rows, _, guard = _symbolic_rows(hess)
+        rows, guard = _symbolic_rows(hess)
         vectors = (_closure_kernels(rows, hess.support, guard)
                    if best == bound else None)
         if vectors is not None:
@@ -351,16 +339,14 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
                              for w in vector]
         return RankReport(value, "certified-symbolic",
                           "fraction-free Gauss-Jordan elimination", m, n,
-                          degenerate=value < cap, support_bound=bound,
-                          trials=trials, witness_point=witness,
+                          support_bound=bound, trials=trials, witness_point=witness,
                           kernel_witness=witness_forms)
 
     if best == bound:
         # above the symbolic cap, but the support pattern already caps the rank
         return RankReport(best, "certified-structural",
                           "evaluation witness meets support matching bound",
-                          m, n, degenerate=best < cap, support_bound=bound,
-                          trials=trials, witness_point=witness)
+                          m, n, support_bound=bound, trials=trials, witness_point=witness)
 
     if policy.strict:
         raise BudgetExceeded(
@@ -369,8 +355,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
             f"with entries of degree {delta}")
     odds = Fraction((best + 1) * max(delta, 1), policy.window)
     return RankReport(best, "probabilistic", "seeded integer evaluations", m, n,
-                      degenerate=best < cap, support_bound=bound,
-                      trials=trials, witness_point=witness,
+                      support_bound=bound, trials=trials, witness_point=witness,
                       error_bound=f"missed-rank odds <= ({odds})^{trials}",
                       notes=["the value is a certified lower bound; "
                              "degeneracy is not certified"])
@@ -389,9 +374,9 @@ def hessian_determinant(f: Form, k: int,
         raise BudgetExceeded(
             f"symbolic determinant is capped at dimension {policy.max_symbolic_dim}, "
             f"this Hessian is {m}x{m}")
-    rows, scale, guard = _symbolic_rows(hess)
+    rows, guard = _symbolic_rows(hess)
     det = polymat.bareiss_det(rows, guard)
-    return polymat.to_form(det, f.variables, divide=scale ** m)
+    return polymat.to_form(det, f.variables, divide=hess.images.denominator ** m)
 
 
 def _criterion_maps(f: Form, prop: str) -> list[tuple[int, int]]:
@@ -425,6 +410,13 @@ class LefschetzReport:
         }
 
 
+def _map_check(hess: MixedHessian, required: int, achieved: int) -> dict:
+    """A Lefschetz report's entry for the map the Hessian decides."""
+    return {"hessian": [hess.k, hess.l], "source": hess.l,
+            "target": hess.form.degree - hess.k,
+            "required": required, "achieved": achieved}
+
+
 def lefschetz_check(f: Form, L: LinearForm, prop: str) -> LefschetzReport:
     """Decide the property for one given linear element, exactly."""
     require_analysis_form(f)
@@ -436,8 +428,7 @@ def lefschetz_check(f: Form, L: LinearForm, prop: str) -> LefschetzReport:
         hess = mixed_hessian(f, k, l)
         required = min(hess.nrows, hess.ncols)
         achieved = evaluated_rank(hess, L.point())
-        checks.append({"hessian": [k, l], "source": l, "target": f.degree - k,
-                       "required": required, "achieved": achieved})
+        checks.append(_map_check(hess, required, achieved))
         ok = ok and achieved == required
     return LefschetzReport(prop, "holds" if ok else "fails", L, checks)
 
@@ -461,8 +452,7 @@ def lefschetz_property(f: Form, prop: str,
         for point in seeded_points(policy, f.nvars):
             achieved = [evaluated_rank(h, point) for h in hessians]
             if all(a == r for a, r in zip(achieved, required)):
-                checks = [{"hessian": [h.k, h.l], "source": h.l,
-                           "target": f.degree - h.k, "required": r, "achieved": a}
+                checks = [_map_check(h, r, a)
                           for h, r, a in zip(hessians, required, achieved)]
                 return LefschetzReport(prop, "holds", LinearForm(f.variables, point),
                                        checks, ["sampled witness element recorded"])
@@ -471,9 +461,7 @@ def lefschetz_property(f: Form, prop: str,
     notes = []
     for h, r in zip(hessians, required):
         report = generic_rank(h, policy)
-        checks.append({"hessian": [h.k, h.l], "source": h.l,
-                       "target": f.degree - h.k, "required": r,
-                       "achieved": report.value, "certainty": report.certainty})
+        checks.append({**_map_check(h, r, report.value), "certainty": report.certainty})
         if report.certified and report.value < r:
             verdict = "fails"
             notes.append(f"multiplication from degree {h.l} into degree "

@@ -284,8 +284,6 @@ def _space_has_squarefree(basis: list[Form]) -> bool:
         for _ in range(32):
             if squarefree_member([rng.randint(-9, 9) for _ in range(dim)]):
                 return True
-    if degree == 1:
-        return True  # nonzero linear forms are squarefree
     # exact decision: member F(t) = sum t_i g_i, test Res(F_x, F_y) == 0
     scaled = [_integer_coefficients([g])[0] for g in basis]
     guard = polymat.guard_mask(dim)

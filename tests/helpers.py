@@ -25,7 +25,7 @@ from wildforms.apolar import (CatalecticantSlice, apolar_basis, catalecticant,
 from wildforms.hessian import (LefschetzReport, MixedHessian, RankPolicy,
                                _criterion_maps, evaluated_rank, generic_rank,
                                hessian_determinant, mixed_hessian, seeded_points)
-from wildforms.poly import (Form, LinearForm, _as_fraction, apply, constant,
+from wildforms.poly import (Form, LinearForm, _as_fraction, apply, bigrade, constant,
                             form_sum, make_form, monomial, monomials, multiply,
                             parse, power)
 from wildforms.polymat import JordanResult, Poly, pdivexact, pmul, pneg, psub
@@ -257,14 +257,18 @@ def reference_mixed_hessian_entries(f: Form, k: int, l: int) -> list[list[Form |
 def hessian_with_entries(form: Form, k: int, l: int, entries) -> MixedHessian:
     """A hand-built MixedHessian over given entries (None for zero).
 
-    Each nonzero entry is its own row, with integer cells, of a
-    stand-in slice k+l keyed by the entry's position, so the Hessian's
-    ranks, rows and entries read exactly the given entries.
+    Each nonzero entry is its own row of a stand-in slice k+l keyed by
+    the entry's position, lifted to integers by the lcm of all the
+    entries' denominators, the stand-in's ``denominator``, so the
+    Hessian's ranks, rows and entries read exactly the given entries.
     """
+    denominator = math.lcm(*(c.denominator for row in entries for entry in row
+                             if entry is not None for c in entry.terms.values()))
     images = CatalecticantSlice(form, k + l, {
-        (i, j): {e: int(c) if c.denominator == 1 else c for e, c in entry.terms.items()}
+        (i, j): {e: c.numerator * (denominator // c.denominator)
+                 for e, c in entry.terms.items()}
         for i, row in enumerate(entries) for j, entry in enumerate(row)
-        if entry is not None})
+        if entry is not None}, denominator)
     cells = [[None if entry is None else images.row_index[i, j]
               for j, entry in enumerate(row)] for i, row in enumerate(entries)]
     return MixedHessian(form, k, l, None, None, cells, images)
@@ -506,12 +510,14 @@ def reference_integer_evaluated_rank(hess, point) -> int:
     return linalg.rank(matrix)
 
 
-def reference_symbolic_rows(hess) -> tuple[list[list[Poly]], int, int]:
-    """The packed rows ``_symbolic_rows`` built from the entry Forms."""
-    scale = common_scale(hess.entries)
+def reference_symbolic_rows(hess) -> tuple[list[list[Poly]], int]:
+    """The packed rows ``_symbolic_rows`` built from the entry Forms,
+    every entry scaled by the lcm of the form's coefficient denominators
+    (read off the form's terms, not the slice), and the guard mask."""
+    scale = math.lcm(*(c.denominator for c in hess.form.terms.values()))
     guard = polymat.guard_mask(hess.form.nvars)
     rows = [[from_form(e, scale) for e in row] for row in hess.entries]
-    return rows, scale, guard
+    return rows, guard
 
 
 def reference_lefschetz_property(f: Form, prop: str,
@@ -574,6 +580,34 @@ def reference_certify_rank_deficient(f: Form, l: int, s: int, bound: int,
                 "detail": f"generic rank {report.value} < {bound}",
                 "report": report.to_dict()}
     return None
+
+
+def reference_slice_rank_vanishing(f: Form, x_vars, u_vars) -> dict | None:
+    """``bounds.slice_rank_vanishing`` as it was before it read slice k:
+    the rank of its own coefficient matrix of Fractions, rows indexed by
+    the x-part of each term's exponent, columns by the u-part."""
+    require_analysis_form(f)
+    try:
+        k, e = bigrade(f, x_vars, u_vars)
+    except ValueError:
+        return None
+    if k < 1 or k >= e:
+        return None
+    index = {v: i for i, v in enumerate(f.variables)}
+    x_pos = [index[v] for v in x_vars]
+    u_pos = [index[v] for v in u_vars]
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
+    for exponent, c in f.terms.items():
+        xm = tuple(exponent[i] for i in x_pos)
+        rows.setdefault(xm, {})[tuple(exponent[i] for i in u_pos)] = c
+    s = linalg.sparse_rank(list(rows.values()))
+    threshold = math.comb(len(u_vars) + k - 1, k)
+    if s <= threshold:
+        return None
+    return {"criterion": "slice-rank", "k": k, "bidegree": [k, e],
+            "slice_rank": s, "threshold": threshold,
+            "conclusion": f"hess^{k} vanishes identically",
+            "certainty": "certified-structural"}
 
 
 def reference_rank(matrix) -> int:

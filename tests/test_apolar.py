@@ -384,12 +384,15 @@ def _fresh(f: Form) -> Form:
 
 def _assert_slice_is_definition(f: Form, k: int) -> None:
     """The built slice k of f: its nonzero rows and columns, their order,
-    cells and greedy-first basis rows, against the definition."""
+    cells (ints over the form's one denominator) and greedy-first basis
+    rows, against the definition."""
     s = catalecticant(f, k)
+    assert s.denominator == math.lcm(*(c.denominator for c in f.terms.values()))
+    assert all(type(c) is int for row in s.rows for c in row.values())
     row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
     want = {alpha: {col_monos[j]: c for j, c in row.items()}
             for alpha, row in zip(row_monos, ref_rows) if row}
-    got = {alpha: {s.columns[j]: c for j, c in row.items()}
+    got = {alpha: {s.columns[j]: Fraction(c, s.denominator) for j, c in row.items()}
            for alpha, row in zip(s.row_monomials, s.rows)}
     assert got == want
     assert s.row_monomials == sorted(want, reverse=True)
@@ -472,9 +475,9 @@ class TestSliceBuilds:
         real = apolar.catalecticant
 
         class Counted(CatalecticantSlice):
-            def __init__(self, form, k, images):
+            def __init__(self, form, k, images, denominator):
                 built.append((len(calls), k))
-                super().__init__(form, k, images)
+                super().__init__(form, k, images, denominator)
 
         def counted(f, k, through=None):
             calls.append(k)
@@ -629,16 +632,32 @@ class TestSliceLifetime:
         assert len(held.kernel_basis) == held.nrows - held.rank
 
     def test_integer_forms_give_int_cells(self):
-        forms = [(parse(self.TEXT, "xyz"), int),
-                 (parse("1/2*x^3*y + 2/3*y^2*z^2 - 5/7*z^4", "xyz"), Fraction),
-                 (build("exceptional(3, 5)").form, int)]
-        for f, cell_type in forms:
+        for f in (parse(self.TEXT, "xyz"), build("exceptional(3, 5)").form):
             for k in range(f.degree + 1):
                 s = catalecticant(f, k)
-                assert all(type(c) is cell_type for row in s.rows for c in row.values())
+                assert s.denominator == 1
+                assert all(type(c) is int for row in s.rows for c in row.values())
                 row_monos, col_monos, ref_rows = reference_catalecticant(f, k)
                 got = {alpha: {s.columns[j]: c for j, c in row.items()}
                        for alpha, row in zip(s.row_monomials, s.rows)}
                 want = {alpha: {col_monos[j]: c for j, c in row.items()}
                         for alpha, row in zip(row_monos, ref_rows) if row}
                 assert got == want
+
+    def test_rational_forms_share_one_denominator(self):
+        """Int cells over the lcm of the form's denominators; each stored
+        row, read back as a Form, is its monomial applied to the form."""
+        forms = [parse("1/2*x^3*y + 2/3*y^2*z^2 - 5/7*z^4", "xyz"),
+                 parse("1/2*x*u^2 + 2/3*y*u*v + 3/5*z*v^2", "xyzuv")]
+        forms += [f for f in _slice_corpus()
+                  if any(c.denominator > 1 for c in f.terms.values())]
+        assert len(forms) > 10
+        for f in forms:
+            denominator = math.lcm(*(c.denominator for c in f.terms.values()))
+            assert denominator > 1
+            for k in range(f.degree + 1):
+                s = catalecticant(f, k)
+                assert s.denominator == denominator
+                assert all(type(c) is int for row in s.rows for c in row.values())
+                for i, alpha in enumerate(s.row_monomials):
+                    assert s.row_image(i) == apply(monomial(f.variables, alpha), f)

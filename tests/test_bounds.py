@@ -25,11 +25,12 @@ from wildforms.bounds import (
 )
 from wildforms.families import build
 from wildforms.hessian import BudgetExceeded, RankPolicy
-from wildforms.poly import LinearForm, form_sum, make_form, parse, power, render
+from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power, render
 from wildforms.powersum import PowerSumDecomposition
 
 from helpers import (random_form, reference_certify_rank_deficient,
-                     reference_is_linear_power, sheared_perazzo, to_sympy)
+                     reference_is_linear_power, reference_slice_rank_vanishing,
+                     sheared_perazzo, to_sympy)
 
 FERMAT = parse("x^3 + y^3 + z^3", "xyz")
 # the perazzo cubic sheared so that every second partial is nonzero
@@ -302,6 +303,72 @@ class TestSliceRankVanishing:
             assert hessian_determinant(f, k) is None, f
             certified += 1
         assert certified >= 3
+
+
+def _bigraded_form(rng: random.Random, rational: bool):
+    """A seeded form of bidegree (k, e), or None when it has no term.
+
+    k in 1..3 and e in 1..4, so some have k >= e, in up to 4 x- and 3
+    u-variables.  Half are sparse random coefficient matrices, of any
+    rank; half are sums of one or two products x-part * u-part, of
+    rank at most two.  ``rational`` coefficients have denominators up
+    to 9.
+    """
+    nx, nu = rng.randint(1, 4), rng.randint(1, 3)
+    k, e = rng.randint(1, 3), rng.randint(1, 4)
+    xs, us = tuple("xyzw"[:nx]), tuple("uvt"[:nu])
+
+    def coefficient() -> Fraction:
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+        return c / rng.randint(1, 9) if rational else c
+
+    terms: dict[tuple, Fraction] = {}
+    if rng.random() < 0.5:
+        density = rng.choice([0.2, 0.5, 0.8])
+        for ex in monomials(nx, k):
+            for eu in monomials(nu, e):
+                if rng.random() < density:
+                    terms[ex + eu] = coefficient()
+    else:
+        for _ in range(rng.randint(1, 2)):
+            gx = random_form(rng, nvars=nx, degree=k, density=0.6)
+            gu = random_form(rng, nvars=nu, degree=e, density=0.6)
+            c = coefficient()
+            for ex, cx in gx.terms.items():
+                for eu, cu in gu.terms.items():
+                    terms[ex + eu] = terms.get(ex + eu, 0) + c * cx * cu
+    return make_form(xs + us, terms), xs, us
+
+
+class TestSliceRankAgainstCoefficientMatrix:
+    """The pure-x rows of slice k against the coefficient matrix the
+    criterion built before it read the slice."""
+
+    def test_seeded_bigraded_forms(self):
+        rng = random.Random(631)
+        outcomes = {"certified": 0, "declined": 0, "rational": 0}
+        for t in range(400):
+            f, xs, us = _bigraded_form(rng, rational=t % 2 == 1)
+            if f is None:
+                continue
+            cert = slice_rank_vanishing(f, xs, us)
+            assert cert == reference_slice_rank_vanishing(f, xs, us), render(f)
+            outcomes["certified" if cert else "declined"] += 1
+            if cert and any(c.denominator > 1 for c in f.terms.values()):
+                outcomes["rational"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_family_members_and_other_partitions(self):
+        for spec in ("perazzo", "bb-cubic", "monomial-spread(2, 4)", "ikeda"):
+            r = build(spec)
+            assert slice_rank_vanishing(r.form, r.x_vars, r.u_vars) == \
+                reference_slice_rank_vanishing(r.form, r.x_vars, r.u_vars)
+        # the partition read the other way round, and one not bi-homogeneous
+        f = parse("1/2*x*u^2 + 2/3*y*u*v + 3/5*z*v^2", "xyzuv")
+        for xs, us in ((("x", "y", "z"), ("u", "v")), (("u", "v"), ("x", "y", "z")),
+                       (("x", "u"), ("y", "z", "v"))):
+            assert slice_rank_vanishing(f, xs, us) == \
+                reference_slice_rank_vanishing(f, xs, us)
 
 
 class TestCactusLowerBounds:

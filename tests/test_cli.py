@@ -387,6 +387,12 @@ class TestOneProcess:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
+    def test_rank_flags_default_to_the_policy(self):
+        args = cli._build_parser().parse_args(["analyze", "--family", "ikeda"])
+        policy = RankPolicy()
+        assert (args.seed, args.rank_trials, args.max_symbolic_dim) == \
+            (policy.seed, policy.trials, policy.max_symbolic_dim)
+
     def test_no_flag_leaks_into_the_next_call(self, capsys, monkeypatch):
         seen = []
         resolve = cli._resolve_input

@@ -15,7 +15,11 @@ out by support matching, and ``binary-rank``,
 including three forms whose rank the resultant of the partials of a
 symbolic kernel member decides, up to four parameters, one whose
 kernels are mostly unit operators for monomials with no stored slice
-row, and one whose slices hold Fraction cells.  The family
+row, and one with rational coefficients.  Slice cells with mixed
+denominators are pinned by a rational bigraded cubic, certified by the
+slice-rank criterion, whose Hessian gets a closure kernel witness, and
+by a rational multiple of the sheared perazzo cubic, whose witness
+comes from full elimination.  The family
 listing, a member built as a product of forms, a chunk-plus-powers sum
 whose parts ``bounds`` adds up again, and polynomial text whose terms
 cancel and come back pin the form arithmetic.
@@ -43,7 +47,11 @@ Hessian entry eagerly, and the ``lefschetz`` digests of
 exceptional(2,3) and power-family(3) and ``hessian`` of
 exceptional(3,5) at k = l = 2 by commit ea2d9de, which evaluated
 Hessians and packed their symbolic rows through entry Forms and sampled
-elements for every Lefschetz check), from the root of its
+elements for every Lefschetz check, and ``analyze`` and ``hessian
+--k 1`` of the rational bigraded cubic and ``hessian --k 1`` of 2/3
+times the sheared perazzo cubic by commit a307862, whose slices still
+held Fraction cells for rational forms and whose slice-rank criterion
+built its own coefficient matrix), from the root of its
 checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
@@ -87,6 +95,10 @@ BINARY_OCTIC_RANK_7 = ("64*x^8 - 64*x^7*y - 80*x^6*y^2 + 128*x^5*y^3 - 20*x^4*y^
 CANCELLING_CUBIC = ("x^2*y + y^3 - x^2*y + x*z^2 + 2*y^2*z - y^3 + 3*x^2*y + z^3"
                     " - 2*y^2*z + y^3 - x*y*z")
 RATIONAL_BINARY_QUINTIC = "1/2*x^5 - 3/4*x^3*y^2 + 2/3*y^5"
+RATIONAL_BIGRADED = "1/2*x*u^2 + 2/3*y*u*v + 3/5*z*v^2"
+SCALED_SHEARED_PERAZZO = ("2/3*x^3 + 4/3*x^2*u + 2/3*x*y^2 + 2/3*x*y*v + 2/3*x*u^2"
+                          " + 2/3*y^2*z + 2/3*y^2*u + 4/3*y*z*v + 2/3*y*u*v"
+                          " + 2/3*z*v^2")
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -128,7 +140,7 @@ COMMANDS = [
     ("analyze", "--poly", CANCELLING_CUBIC, "--vars", "x,y,z"),
     # slice 2 stores no row for x*y, so its one kernel operator is a unit
     ("binary-rank", "--poly", "x^7 + y^7", "--vars", "x,y"),
-    # its slices hold Fraction cells
+    # rational coefficients: its slices' cells are over one denominator, 12
     ("binary-rank", "--poly", RATIONAL_BINARY_QUINTIC, "--vars", "x,y"),
     # chunk plus powers: each power part is recognised as a linear power,
     # and the cactus bound reads the degenerate (2,2) Hessian
@@ -141,6 +153,14 @@ COMMANDS = [
     # rows read once from slice 4, with the matching-closure kernel witness
     ("hessian", "--family", "exceptional(3,5)", "--seed", "1", "--k", "2",
      "--l", "2", "--max-symbolic-dim", "16"),
+    # slice cells with mixed denominators: the slice-rank criterion certifies
+    # the cactus claim, and the Hessian's kernel witness comes off a closure
+    ("analyze", "--poly", RATIONAL_BIGRADED, "--vars", "x,y,z,u,v",
+     "--partition", "X=x,y,z;U=u,v"),
+    ("hessian", "--poly", RATIONAL_BIGRADED, "--vars", "x,y,z,u,v",
+     "--partition", "X=x,y,z;U=u,v", "--k", "1"),
+    # 2/3 times the sheared perazzo cubic: the witness from full elimination
+    ("hessian", "--poly", SCALED_SHEARED_PERAZZO, "--vars", "x,y,z,u,v", "--k", "1"),
 ]
 
 

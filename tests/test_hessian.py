@@ -254,7 +254,7 @@ class TestClosureRung:
     def test_value_matches_full_elimination(self, spec, seed, k, l):
         hess = mixed_hessian(build(spec, seed=seed).form, k, l)
         rep = generic_rank(hess, RankPolicy(max_symbolic_dim=16))
-        rows, _, guard = _symbolic_rows(hess)
+        rows, guard = _symbolic_rows(hess)
         support = [{j for j, e in enumerate(row) if e} for row in rows]
         vectors = _closure_kernels(rows, support, guard)
         assert vectors is not None and len(vectors) == hess.ncols - rep.support_bound
@@ -458,7 +458,7 @@ class TestSliceRowsAgainstEntryRoutes:
         # term order too, which the elimination's products follow
         assert [[list(e.items()) for e in row] for row in got[0]] == \
             [[list(e.items()) for e in row] for row in want[0]]
-        return got[1]
+        return hess.images.denominator
 
     # power-family(4) has degree 15; its 136 Hessians take 23 s to rank
     # twice, and power-family(2) and (3) stand for its family
@@ -480,7 +480,7 @@ class TestSliceRowsAgainstEntryRoutes:
 
     def test_rational_forms_and_points(self):
         rng = random.Random(607)
-        scales = set()
+        denominators = set()
         lifted = 0
         for _ in range(16):
             nvars, degree = rng.randint(2, 4), rng.randint(2, 5)
@@ -489,18 +489,18 @@ class TestSliceRowsAgainstEntryRoutes:
             lifted += sum(any(Fraction(v).denominator > 1 for v in p) for p in points)
             for k in range(degree + 1):
                 for l in range(degree - k + 1):
-                    scales.add(self._check_hessian(mixed_hessian(f, k, l), points))
+                    denominators.add(self._check_hessian(mixed_hessian(f, k, l), points))
                     assert generic_rank(mixed_hessian(f, k, l)).to_dict() == \
                         reference_rank_report(f, k, l)
             for prop in ("wlp", "slp"):
                 assert lefschetz_property(f, prop).to_dict() == \
                     reference_lefschetz(f, prop)
-        assert max(scales) > 1 and lifted > 0
+        assert max(denominators) > 1 and lifted > 0
 
-    def test_scale_and_rows_build_no_entry(self):
+    def test_slice_rows_build_no_entry(self):
         hess = mixed_hessian(rational_form(random.Random(613), 3, 4), 1, 2)
-        assert hess.scale > 1
-        hess.int_rows
+        assert hess.images.denominator > 1
+        hess.read_rows
         evaluated_rank(hess, (1, Fraction(2, 3), 5))
         _symbolic_rows(hess)
         assert "entries" not in vars(hess)
@@ -550,6 +550,23 @@ class TestNoEntryForm:
             want = hessian_determinant(f, k)
         with no_entry_forms():
             assert hessian_determinant(f, k) == want
+
+    def test_rational_determinants_against_sympy(self):
+        """The packed rows carry the slice's denominator D, so their
+        determinant is divided by D^m; sympy's determinant of the entry
+        Forms shares no step with that route."""
+        rng = random.Random(623)
+        cases = [(parse("1/2*x^3 - 3/7*x*y^2 + 5/3*y^2*z + z^3", "xyz"), 1)]
+        cases += [(rational_form(rng, 3, 4), k) for k in (1, 2)]
+        cases += [(rational_form(rng, 2, 5), k) for k in (1, 2)]
+        for f, k in cases:
+            hess = mixed_hessian(f, k, k)
+            assert hess.images.denominator > 1
+            matrix = sympy.Matrix([[0 if e is None else to_sympy(e)[0] for e in row]
+                                   for row in hess.entries])
+            det = hessian_determinant(f, k)
+            assert det is not None
+            assert sympy.expand(to_sympy(det)[0] - matrix.det()) == 0
 
     @pytest.mark.parametrize("spec,seed", [
         ("ikeda", 0), ("perazzo", 0), ("exceptional(2,3)", 1), ("power-family(3)", 0),

@@ -403,6 +403,18 @@ def _lcm_of_denominators(forms: list[Form]) -> int:
     return math.lcm(*(c.denominator for f in forms for c in f.terms.values()))
 
 
+def test_nonzero_linear_forms_are_squarefree():
+    """So ``_space_has_squarefree`` settles a space of linear forms at its
+    first member, before any sampled combination."""
+    rng = random.Random(937)
+    forms = [parse("x", "xy"), parse("-2/3*y", "xy")]
+    forms += [scale(random_linear(rng, "xy").to_form(), Fraction(rng.randint(1, 9), 7))
+              for _ in range(20)]
+    for g in forms:
+        assert powersum.is_squarefree_binary(g)
+        assert powersum._space_has_squarefree([g, parse("x + y", "xy")])
+
+
 class TestSampledCandidates:
     """The shortcuts try the reference's candidates, in the same order."""
 
