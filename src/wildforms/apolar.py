@@ -312,14 +312,11 @@ class ApolarBasis:
     catalecticant under the graded-lex row order, so the choice is
     canonical for a fixed form; they are read from the slice's
     ``basis_rows``, found by the same elimination as its rank.
-    ``row_indices`` point into the slice's stored (nonzero) rows.
     """
 
-    def __init__(self, form: Form, k: int, indices: list[int],
-                 monomial_list: list[Exponent]):
+    def __init__(self, form: Form, k: int, monomial_list: list[Exponent]):
         self.form = form
         self.k = k
-        self.row_indices = tuple(indices)
         self.monomials = tuple(monomial_list)
 
     def __len__(self) -> int:
@@ -332,5 +329,4 @@ class ApolarBasis:
 
 def apolar_basis(f: Form, k: int) -> ApolarBasis:
     slice_ = catalecticant(f, k)
-    kept = slice_.basis_rows
-    return ApolarBasis(f, k, kept, [slice_.row_monomials[i] for i in kept])
+    return ApolarBasis(f, k, [slice_.row_monomials[i] for i in slice_.basis_rows])

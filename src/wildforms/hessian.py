@@ -49,6 +49,9 @@ from .apolar import (CatalecticantSlice, apolar_basis, catalecticant,
 from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply
 
 
+WINDOW = 1 << 16  # seeded evaluation coordinates are drawn from 1..WINDOW
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when a certification budget is exceeded under strict policy."""
 
@@ -57,7 +60,6 @@ class BudgetExceeded(RuntimeError):
 class RankPolicy:
     seed: int = 0
     trials: int = 8
-    window: int = 1 << 16
     max_symbolic_dim: int = 12
     max_entry_degree: int = 12
     strict: bool = False
@@ -189,7 +191,7 @@ def seeded_points(policy: RankPolicy, nvars: int):
     """The policy's evaluation points: ``policy.trials`` seeded integer tuples."""
     rng = random.Random(policy.seed)
     for _ in range(policy.trials):
-        yield tuple(rng.randint(1, policy.window) for _ in range(nvars))
+        yield tuple(rng.randint(1, WINDOW) for _ in range(nvars))
 
 
 def evaluated_rank(hess: MixedHessian, point) -> int:
@@ -353,7 +355,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
             f"symbolic certification is capped at dimension {policy.max_symbolic_dim} "
             f"and entry degree {policy.max_entry_degree}; this Hessian is {m}x{n} "
             f"with entries of degree {delta}")
-    odds = Fraction((best + 1) * max(delta, 1), policy.window)
+    odds = Fraction((best + 1) * max(delta, 1), WINDOW)
     return RankReport(best, "probabilistic", "seeded integer evaluations", m, n,
                       support_bound=bound, trials=trials, witness_point=witness,
                       error_bound=f"missed-rank odds <= ({odds})^{trials}",

@@ -13,10 +13,11 @@ r whose kernel slice contains a squarefree operator.  Squarefreeness of
 one binary form is an exact gcd test on an integer dehomogenization,
 by a primitive pseudo-remainder sequence, with degree bookkeeping for
 the root at infinity.  Whether a whole kernel slice contains any
-squarefree member is decided exactly through the resultant of the
-partials of a symbolic member, taken as the determinant of their
-Bezout matrix (half the size of the Sylvester matrix), with fast
-sampled integer combinations tried first.
+squarefree member follows one rule in every dimension: each member is
+tested, then 32 seeded integer combinations of the members, and the
+exact fallback is the resultant of the partials of a symbolic member,
+taken as the determinant of their Bezout matrix (half the size of the
+Sylvester matrix).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import product as iter_product
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
@@ -258,10 +258,13 @@ def _resultant(a: list[polymat.Poly], b: list[polymat.Poly],
 def _space_has_squarefree(basis: list[Form]) -> bool:
     """Whether a linear space of binary forms has a squarefree member.
 
-    Samples cheap candidates first, as integer combinations of the
-    members scaled by one common lcm; the exact fallback tests whether
-    the resultant of the partials of a symbolic member vanishes
-    identically, which settles existence over the complex numbers.
+    Tries each member, then 32 seeded integer combinations of the
+    members lifted by one common lcm c.  The exact fallback tests whether
+    the resultant of the partials of the symbolic member sum t_i g_i
+    vanishes identically, which settles existence over the complex
+    numbers.  Lifting g_i by c rather than by its own lcm c_i is the
+    invertible substitution t_i -> t_i * c_i / c, which cannot change
+    whether Res(F_x, F_y) vanishes identically.
     """
     for g in basis:
         if is_squarefree_binary(g):
@@ -270,40 +273,23 @@ def _space_has_squarefree(basis: list[Form]) -> bool:
     if dim == 1:
         return False
     degree = basis[0].degree
-    columns = list(zip(*_integer_coefficients(basis)))
-
-    def squarefree_member(combo) -> bool:
+    lifted = _integer_coefficients(basis)
+    columns = list(zip(*lifted))
+    rng = random.Random(0)
+    for _ in range(32):
+        combo = [rng.randint(-9, 9) for _ in range(dim)]
         candidate = [sum(map(operator.mul, combo, col)) for col in columns]
-        return any(candidate) and _squarefree_coefficients(candidate, degree)
-
-    if dim <= 3:
-        if any(map(squarefree_member, iter_product(range(-2, 3), repeat=dim))):
+        if any(candidate) and _squarefree_coefficients(candidate, degree):
             return True
-    else:
-        rng = random.Random(0)
-        for _ in range(32):
-            if squarefree_member([rng.randint(-9, 9) for _ in range(dim)]):
-                return True
     # exact decision: member F(t) = sum t_i g_i, test Res(F_x, F_y) == 0
-    scaled = [_integer_coefficients([g])[0] for g in basis]
-    guard = polymat.guard_mask(dim)
-    fx: list[polymat.Poly] = []
-    fy: list[polymat.Poly] = []
+    units = [polymat.pack([int(j == i) for j in range(dim)]) for i in range(dim)]
+    members = list(zip(units, lifted))
     # coefficient of x^a y^(degree-1-a) in each partial, descending in a
-    for a in range(degree - 1, -1, -1):
-        cx: polymat.Poly = {}
-        cy: polymat.Poly = {}
-        for i, g in enumerate(scaled):
-            key = polymat.pack(tuple(1 if j == i else 0 for j in range(dim)))
-            vx = (a + 1) * g[a + 1]
-            vy = (degree - a) * g[a]
-            if vx:
-                cx[key] = cx.get(key, 0) + vx
-            if vy:
-                cy[key] = cy.get(key, 0) + vy
-        fx.append(cx)
-        fy.append(cy)
-    return bool(_resultant(fx, fy, guard))
+    fx = [{u: (a + 1) * g[a + 1] for u, g in members if g[a + 1]}
+          for a in range(degree - 1, -1, -1)]
+    fy = [{u: (degree - a) * g[a] for u, g in members if g[a]}
+          for a in range(degree - 1, -1, -1)]
+    return bool(_resultant(fx, fy, polymat.guard_mask(dim)))
 
 
 def binary_waring_rank(f: Form) -> int:

@@ -862,10 +862,14 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         a[da] = Fraction(0)
 
 
-def _gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while _poly_degree(b) >= 0:
         a, b = b, _poly_mod(a, b)
-    return _poly_degree(a)
+    return a
+
+
+def _gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
+    return _poly_degree(_poly_gcd(a, b))
 
 
 def reference_is_squarefree_binary(f: Form) -> bool:
@@ -881,6 +885,27 @@ def reference_is_squarefree_binary(f: Form) -> bool:
         return True
     derivative = [i * p[i] for i in range(1, dp + 1)]
     return _gcd_degree(p, derivative) == 0
+
+
+def reference_space_has_squarefree(basis: list[Form]) -> bool:
+    """Whether a space of binary forms has a squarefree member, by gcds.
+
+    One member: that member is squarefree.  Two or more: the gcd h of
+    the members is squarefree, with the y-power (the root at infinity)
+    counted as part of h.  Every member is a multiple of h, and the
+    members divided by h span a system with no base point on P^1, so by
+    Bertini (characteristic 0) its general member is squarefree and
+    coprime to h.
+    """
+    if len(basis) == 1:
+        return reference_is_squarefree_binary(basis[0])
+    parts = [_dehomogenized(g) for g in basis]
+    at_infinity = min(g.degree - _poly_degree(p) for g, p in zip(basis, parts))
+    h = parts[0]
+    for p in parts[1:]:
+        h = _poly_gcd(h, p)
+    derivative = [i * h[i] for i in range(1, _poly_degree(h) + 1)]
+    return at_infinity <= 1 and _gcd_degree(h, derivative) == 0
 
 
 def to_sympy(f: Form):

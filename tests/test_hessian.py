@@ -612,9 +612,9 @@ class TestNoEntryForm:
 
 class TestSeededPoints:
     def test_sequence_is_the_policy_rng(self):
-        policy = RankPolicy(seed=7, trials=3, window=50)
+        policy = RankPolicy(seed=7, trials=3)
         rng = random.Random(7)
-        expected = [tuple(rng.randint(1, 50) for _ in range(4)) for _ in range(3)]
+        expected = [tuple(rng.randint(1, 1 << 16) for _ in range(4)) for _ in range(3)]
         assert list(seeded_points(policy, 4)) == expected
         assert next(seeded_points(policy, 4)) == expected[0]
 

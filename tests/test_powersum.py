@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,7 +29,7 @@ from wildforms.powersum import (
 
 from helpers import (oracle_binary_rank, random_decomposition, random_form,
                      random_linear, reference_is_squarefree_binary,
-                     reference_sylvester_resultant)
+                     reference_space_has_squarefree, reference_sylvester_resultant)
 
 
 def fermat_cubic_decomposition():
@@ -366,9 +366,9 @@ class TestSquarefreeAgainstReference:
 def _reference_tried(basis: list[Form]) -> list[list[Fraction]]:
     """The coefficient lists the sampled shortcuts test, in order.
 
-    Members first, each as itself; then the candidates of the integer
-    grid (dimension 2 or 3) or of 32 seeded draws, combined as Forms,
-    up to the first squarefree one.
+    Members first, each as itself; then, in every dimension from 2 up,
+    the candidates of 32 seeded draws, combined as Forms, up to the
+    first squarefree one.
     """
     def coefficients(f):
         out = [Fraction(0)] * (f.degree + 1)
@@ -384,11 +384,8 @@ def _reference_tried(basis: list[Form]) -> list[list[Fraction]]:
     dim = len(basis)
     if dim == 1:
         return tried
-    if dim <= 3:
-        combos = list(iter_product(range(-2, 3), repeat=dim))
-    else:
-        rng = random.Random(0)
-        combos = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(32)]
+    rng = random.Random(0)
+    combos = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(32)]
     for combo in combos:
         candidate = form_sum(scale(g, c) for g, c in zip(basis, combo))
         if candidate is None:
@@ -415,29 +412,32 @@ def test_nonzero_linear_forms_are_squarefree():
         assert powersum._space_has_squarefree([g, parse("x + y", "xy")])
 
 
+def _kernel_bases() -> list[list[Form]]:
+    """Kernels of l1^a * l2^b of dimension 2 or more, and spaces whose
+    members share a squared linear factor."""
+    rng = random.Random(929)
+    bases = []
+    for _ in range(30):
+        l1, l2 = (random_linear(rng, "xy", (-3, 3)) for _ in range(2))
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        f = scale(multiply(power(l1, a), power(l2, b)),
+                  Fraction(rng.randint(1, 5), rng.randint(1, 7)))
+        for r in range(1, f.degree + 1):
+            kernel = catalecticant(f, r).kernel_basis
+            if len(kernel) >= 2:
+                bases.append(kernel)
+    for _ in range(30):
+        dim, degree = rng.randint(2, 5), rng.randint(2, 6)
+        bases.append([scale(multiply(power(random_linear(rng, "xy", (-3, 3)), 2),
+                                     random_form(rng, nvars=2, degree=degree - 2)
+                                     if degree > 2 else parse("1", "xy")),
+                            Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                      for _ in range(dim)])
+    return bases
+
+
 class TestSampledCandidates:
     """The shortcuts try the reference's candidates, in the same order."""
-
-    def _bases(self):
-        rng = random.Random(929)
-        bases = []
-        for _ in range(30):
-            l1, l2 = (random_linear(rng, "xy", (-3, 3)) for _ in range(2))
-            a, b = rng.randint(1, 4), rng.randint(1, 4)
-            f = scale(multiply(power(l1, a), power(l2, b)),
-                      Fraction(rng.randint(1, 5), rng.randint(1, 7)))
-            for r in range(1, f.degree + 1):
-                kernel = catalecticant(f, r).kernel_basis
-                if len(kernel) >= 2:
-                    bases.append(kernel)
-        for _ in range(30):
-            dim, degree = rng.randint(2, 5), rng.randint(2, 6)
-            bases.append([scale(multiply(power(random_linear(rng, "xy", (-3, 3)), 2),
-                                         random_form(rng, nvars=2, degree=degree - 2)
-                                         if degree > 2 else parse("1", "xy")),
-                                Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-                          for _ in range(dim)])
-        return bases
 
     def test_same_candidates_as_reference(self, monkeypatch):
         tried = []
@@ -450,7 +450,7 @@ class TestSampledCandidates:
         monkeypatch.setattr(powersum, "_squarefree_coefficients", record)
         monkeypatch.setattr(powersum, "_resultant", lambda a, b, guard: {})
         long_runs = 0
-        for basis in self._bases():
+        for basis in _kernel_bases():
             tried.clear()
             powersum._space_has_squarefree(basis)
             expected = _reference_tried(basis)
@@ -460,3 +460,59 @@ class TestSampledCandidates:
             assert tried == [[s * v for v in p] for s, p in zip(scales, expected)]
             long_runs += len(expected) > len(basis) + 1
         assert long_runs >= 5
+
+
+class _ZeroDraws:
+    """Stands in for ``random.Random``: every draw is 0, so no sampled
+    candidate is tried and the resultant decides."""
+
+    def __init__(self, seed):
+        pass
+
+    def randint(self, a, b):
+        return 0
+
+
+def _common_factor_bases() -> list[list[Form]]:
+    """Bases h * l_i^2 of 2-3 members: h linear, a product of two distinct
+    linear forms, or a square, so h alone decides."""
+    rng = random.Random(947)
+    bases = []
+    for _ in range(40):
+        l1 = random_linear(rng, "xy", (-3, 3))
+        l2 = random_linear(rng, "xy", (-3, 3))
+        while l2.proportional(l1):
+            l2 = random_linear(rng, "xy", (-3, 3))
+        h = rng.choice([power(l1, 1), multiply(power(l1, 1), power(l2, 1)),
+                        power(l1, 2)])
+        bases.append([scale(multiply(h, power(random_linear(rng, "xy", (-3, 3)), 2)),
+                            Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                      for _ in range(rng.randint(2, 3))])
+    return bases
+
+
+class TestSpaceAgainstGcdOracle:
+    """``_space_has_squarefree`` against the gcd criterion of the reference,
+    with and without the sampled candidates."""
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_agrees_with_reference(self, monkeypatch, sampled):
+        bases = _common_factor_bases() + _kernel_bases()
+        resultants = []
+        original = powersum._resultant
+
+        def record(a, b, guard):
+            out = original(a, b, guard)
+            resultants.append(out)
+            return out
+
+        monkeypatch.setattr(powersum, "_resultant", record)
+        if not sampled:
+            monkeypatch.setattr(powersum, "random", SimpleNamespace(Random=_ZeroDraws))
+            # a symbolic resultant in six or more unknowns takes seconds each
+            bases = [basis for basis in bases if len(basis) <= 5]
+        for basis in bases:
+            assert (powersum._space_has_squarefree(basis)
+                    == reference_space_has_squarefree(basis)), basis
+        if not sampled:
+            assert sum(map(bool, resultants)) >= 15
