@@ -19,7 +19,7 @@ from .hessian import (BudgetExceeded, LefschetzReport, MixedHessian,
 from .powersum import (PowerSumDecomposition, VeroneseMatrix,
                        binary_waring_rank, factorization_check,
                        hessian_nonvanishing, is_squarefree_binary,
-                       verify_decomposition, veronese_matrix)
+                       verify_decomposition)
 from .bounds import (BorderBound, CactusLowerBound, CertificateStrategy,
                      border_bound_bihomogeneous, border_bound_monomial,
                      border_upper, cactus_lower_degenerate,

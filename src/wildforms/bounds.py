@@ -309,7 +309,6 @@ class CertificateStrategy:
     x_vars: tuple | None = None
     u_vars: tuple | None = None
     k: int | None = None
-    decomposition: PowerSumDecomposition | None = None
     parts: list | None = None
     notes: list = field(default_factory=list)
     policy: RankPolicy = field(default_factory=RankPolicy)
@@ -332,7 +331,6 @@ def wild_certificate(f: Form, strategy: CertificateStrategy | None = None) -> di
     k = strategy.k if strategy.k is not None else concise
     reasons: list[str] = []
     border = border_upper(f, strategy.x_vars, strategy.u_vars,
-                          decomposition=strategy.decomposition,
                           parts=strategy.parts)
     if border is None:
         reasons.append("no certified border rank upper bound available")

@@ -1,9 +1,9 @@
 """Named families of forms with ready-made analysis hints.
 
-Each buildable family returns the form together with the variable
-partition and the certificate strategy that its structure suggests:
-the conciseness order to target, border bound hints (an exact part
-list when the form is a bihomogeneous chunk plus powers), and notes.
+Each buildable family returns the form together with the certificate
+strategy that its structure suggests: the variable partition, the
+conciseness order to target, border bound hints (an exact part list
+when the form is a bihomogeneous chunk plus powers), and notes.
 Randomized constructions are seeded and verified after building; a
 draw that fails its conciseness check is retried with the next seed a
 bounded number of times.
@@ -11,6 +11,7 @@ bounded number of times.
 Two families are formula-only: their members are too large to build
 as explicit forms here, but the certified bound pair (cactus threshold
 and border upper bound) follows closed formulas exposed as functions.
+Both kinds live in one table, ``FAMILIES``.
 """
 
 from __future__ import annotations
@@ -18,36 +19,30 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .apolar import maximal_hilbert_through
 from .bounds import CertificateStrategy
-from .hessian import RankPolicy
 from .poly import (Form, LinearForm, form_sum, make_form, monomial, monomials,
-                   multiply, power, scale)
+                   multiply, power)
 
 RESEED_CAP = 5
 
 
 @dataclass
 class FamilyResult:
-    """A built family member plus the strategy hints for analyzing it."""
+    """A built family member, the strategy hints for analyzing it, and
+    the seed its generic draws came from."""
 
-    name: str
-    params: dict
     form: Form
-    x_vars: tuple
-    u_vars: tuple
     strategy: CertificateStrategy
-    notes: list[str] = field(default_factory=list)
-    seed: int | None = None
+    seed: int
 
 
 def generic_linear_forms(variables, count: int, seed: int = 0,
-                         low: int = -9, high: int = 9,
                          drawn: int | None = None) -> list[LinearForm]:
-    """Seeded pairwise non-proportional linear forms with small entries.
+    """Seeded pairwise non-proportional linear forms with entries in [-9, 9].
 
     With ``drawn``, entries are drawn for the first ``drawn`` variables
     only: the forms drawn over those alone, padded with zeros."""
@@ -55,7 +50,7 @@ def generic_linear_forms(variables, count: int, seed: int = 0,
     tail = [0] * (len(variables) - drawn) if drawn is not None else []
     out: list[LinearForm] = []
     while len(out) < count:
-        coeffs = [rng.randint(low, high) for _ in variables[:drawn]]
+        coeffs = [rng.randint(-9, 9) for _ in variables[:drawn]]
         if all(c == 0 for c in coeffs):
             continue
         cand = LinearForm(variables, coeffs + tail)
@@ -85,9 +80,8 @@ _FIXED = {
 
 def _build_fixed(name: str, seed: int) -> FamilyResult:
     x_vars, u_vars, terms, k = _FIXED[name]
-    f = make_form(x_vars + u_vars, terms)
     strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=k)
-    return FamilyResult(name, {}, f, x_vars, u_vars, strategy)
+    return FamilyResult(make_form(x_vars + u_vars, terms), strategy, seed)
 
 
 def _build_exceptional(n: int, d: int, seed: int) -> FamilyResult:
@@ -113,12 +107,9 @@ def _build_exceptional(n: int, d: int, seed: int) -> FamilyResult:
         powers = [power(l, d + 2) for l in lines]
         f = form_sum([chunk] + powers)
         if f is not None and maximal_hilbert_through(f, 2):
-            strategy = CertificateStrategy(
-                x_vars=x_vars, u_vars=u_vars, k=2,
-                parts=[chunk] + powers)
-            return FamilyResult("exceptional", {"n": n, "d": d}, f,
-                                x_vars, u_vars, strategy,
-                                seed=seed + attempt)
+            strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=2,
+                                           parts=[chunk] + powers)
+            return FamilyResult(f, strategy, seed + attempt)
     raise RuntimeError(f"no 2-concise draw within {RESEED_CAP} reseeds")
 
 
@@ -134,15 +125,13 @@ def _build_monomial_spread(n: int, k: int, seed: int) -> FamilyResult:
         pieces.append(monomial(variables, m + (b - 1 - i, i)))
     f = form_sum(pieces)
     threshold = math.comb(n + 2 + k, k)
-    strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=k)
     # the slice rank binom(n+k,k) beats the threshold k+1 only from n = 2
     notes = [f"the vanishing route certifies cactus rank > {threshold} "
              f"= binom({n + 2 + k},{k}); a doubled threshold of "
              f"{2 * threshold} is not certified by the implemented routes"
              ] if n >= 2 else []
-    strategy.notes = list(notes)
-    return FamilyResult("monomial-spread", {"n": n, "k": k}, f,
-                        x_vars, u_vars, strategy, notes=notes)
+    strategy = CertificateStrategy(x_vars=x_vars, u_vars=u_vars, k=k, notes=notes)
+    return FamilyResult(f, strategy, seed)
 
 
 def _build_power_family(d: int, seed: int) -> FamilyResult:
@@ -162,8 +151,7 @@ def _build_power_family(d: int, seed: int) -> FamilyResult:
     if not maximal_hilbert_through(f, k):
         raise RuntimeError(f"the built member is not {k}-concise")
     strategy = CertificateStrategy(x_vars=("x", "y", "z"), u_vars=("u", "v"), k=k)
-    return FamilyResult("power-family", {"d": d}, f,
-                        ("x", "y", "z"), ("u", "v"), strategy)
+    return FamilyResult(f, strategy, seed)
 
 
 def power_family_bounds(d: int) -> dict:
@@ -192,42 +180,41 @@ def gn_quartic_bounds(s: int, e: int | None = None) -> dict:
             "wild": border <= threshold}
 
 
-_BUILDERS = {
-    "perazzo": (partial(_build_fixed, "perazzo"), 0,
-                "Perazzo cubic x*u^2 + y*u*v + z*v^2"),
-    "bb-cubic": (partial(_build_fixed, "bb-cubic"), 0,
-                 "cubic x*u^2 + y*(u+v)^2 + z*v^2"),
-    "ikeda": (partial(_build_fixed, "ikeda"), 0,
-              "quintic x*u^3*v + y*u*v^3 + x^2*y^3"),
-    "exceptional": (_build_exceptional, 2,
-                    "bigraded chunk plus C(n+1,2) generic powers, degree d+2"),
-    "monomial-spread": (_build_monomial_spread, 2,
-                        "every degree-k monomial carried by a distinct u,v slot"),
-    "power-family": (_build_power_family, 1,
-                     "(x*u^d + y*u^(d-1)*v + z*v^d)^(d-1), buildable for d <= 4"),
+# name: (function, (fewest, most) integer arguments, description, buildable);
+# a buildable family's function also takes the seed last
+FAMILIES = {
+    "perazzo": (partial(_build_fixed, "perazzo"), (0, 0),
+                "Perazzo cubic x*u^2 + y*u*v + z*v^2", True),
+    "bb-cubic": (partial(_build_fixed, "bb-cubic"), (0, 0),
+                 "cubic x*u^2 + y*(u+v)^2 + z*v^2", True),
+    "ikeda": (partial(_build_fixed, "ikeda"), (0, 0),
+              "quintic x*u^3*v + y*u*v^3 + x^2*y^3", True),
+    "exceptional": (_build_exceptional, (2, 2),
+                    "bigraded chunk plus C(n+1,2) generic powers, degree d+2", True),
+    "monomial-spread": (_build_monomial_spread, (2, 2),
+                        "every degree-k monomial carried by a distinct u,v slot", True),
+    "power-family": (_build_power_family, (1, 1),
+                     "(x*u^d + y*u^(d-1)*v + z*v^d)^(d-1), buildable for d <= 4", True),
+    "power-family-large": (power_family_bounds, (1, 1),
+                           "power_family_bounds(d) for members above d = 4", False),
+    "gn-quartic-formula": (gn_quartic_bounds, (1, 2),
+                           "gn_quartic_bounds(s, e) for the quartic family", False),
 }
 
-# name: (bound function, (fewest, most) integer arguments, description)
-FORMULA_ONLY = {
-    "power-family-large": (power_family_bounds, (1, 1),
-                           "power_family_bounds(d) for members above d = 4"),
-    "gn-quartic-formula": (gn_quartic_bounds, (1, 2),
-                           "gn_quartic_bounds(s, e) for the quartic family"),
-}
+
+def _names(buildable: bool) -> list[str]:
+    return sorted(name for name, entry in FAMILIES.items() if entry[3] is buildable)
 
 
 def family_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return _names(True)
 
 
 def family_info() -> list[dict]:
-    rows = [{"name": name, "parameters": args, "description": desc,
-             "buildable": True}
-            for name, (_, args, desc) in sorted(_BUILDERS.items())]
-    rows += [{"name": name, "parameters": None, "description": desc,
-              "buildable": False}
-             for name, (_, _, desc) in sorted(FORMULA_ONLY.items())]
-    return rows
+    """Buildable families, then formula-only ones, each sorted by name."""
+    return [{"name": name, "parameters": FAMILIES[name][1][0] if buildable else None,
+             "description": FAMILIES[name][2], "buildable": buildable}
+            for buildable in (True, False) for name in _names(buildable)]
 
 
 _SPEC_RE = re.compile(r"^\s*([a-z][a-z0-9-]*)\s*(?:\(\s*([-0-9,\s]*)\s*\))?\s*$")
@@ -252,29 +239,26 @@ def _parse_spec(spec: str, kind: str) -> tuple[str, list[int]]:
 def build(spec: str, seed: int = 0) -> FamilyResult:
     """Build a family member from a spec like "ikeda" or "exceptional(3,5)"."""
     name, args = _parse_spec(spec, "family")
-    if name in FORMULA_ONLY:
-        raise ValueError(f"{name} is formula-only and cannot be built; "
-                         f"{FORMULA_ONLY[name][2]}")
-    if name not in _BUILDERS:
+    if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: "
                          + ", ".join(family_names()))
-    builder, arity, _ = _BUILDERS[name]
+    builder, (arity, _), description, buildable = FAMILIES[name]
+    if not buildable:
+        raise ValueError(f"{name} is formula-only and cannot be built; "
+                         f"{description}")
     if len(args) != arity:
         raise ValueError(f"{name} takes {arity} integer parameter(s), "
                          f"got {len(args)}")
-    result = builder(*args, seed)
-    if result.seed is None:
-        result.seed = seed
-    return result
+    return builder(*args, seed)
 
 
 def evaluate_formula(spec: str) -> tuple[str, dict]:
     """Name and bound pair of a formula-only spec like "power-family-large(17)"."""
     name, args = _parse_spec(spec, "formula")
-    if name not in FORMULA_ONLY:
+    if name not in _names(False):
         raise ValueError(f"unknown formula {name!r}; known: "
-                         + ", ".join(sorted(FORMULA_ONLY)))
-    func, (lo, hi), _ = FORMULA_ONLY[name]
+                         + ", ".join(_names(False)))
+    func, (lo, hi), _, _ = FAMILIES[name]
     if not lo <= len(args) <= hi:
         raise ValueError(f"{name} takes between {lo} and {hi} integers")
     return name, func(*args)

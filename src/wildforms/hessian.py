@@ -50,6 +50,7 @@ from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply
 
 
 WINDOW = 1 << 16  # seeded evaluation coordinates are drawn from 1..WINDOW
+MAX_ENTRY_DEGREE = 12  # symbolic elimination runs on entries of at most this degree
 
 
 class BudgetExceeded(RuntimeError):
@@ -61,17 +62,16 @@ class RankPolicy:
     seed: int = 0
     trials: int = 8
     max_symbolic_dim: int = 12
-    max_entry_degree: int = 12
     strict: bool = False
 
     def __post_init__(self):
         # a report with no evaluation or a negative cap certifies nothing
         if self.trials < 1:
             raise ValueError(f"rank trials must be at least 1, got {self.trials}")
-        if self.max_symbolic_dim < 0 or self.max_entry_degree < 0:
+        if self.max_symbolic_dim < 0:
             raise ValueError("symbolic caps must be nonnegative, got dimension "
                              f"{self.max_symbolic_dim} and entry degree "
-                             f"{self.max_entry_degree}")
+                             f"{MAX_ENTRY_DEGREE}")
 
 
 @dataclass
@@ -310,7 +310,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
                           support_bound=bound, trials=trials, witness_point=witness)
 
     delta = hess.entry_degree
-    if max(m, n) <= policy.max_symbolic_dim and delta <= policy.max_entry_degree:
+    if max(m, n) <= policy.max_symbolic_dim and delta <= MAX_ENTRY_DEGREE:
         rows, guard = _symbolic_rows(hess)
         vectors = (_closure_kernels(rows, hess.support, guard)
                    if best == bound else None)
@@ -353,7 +353,7 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     if policy.strict:
         raise BudgetExceeded(
             f"symbolic certification is capped at dimension {policy.max_symbolic_dim} "
-            f"and entry degree {policy.max_entry_degree}; this Hessian is {m}x{n} "
+            f"and entry degree {MAX_ENTRY_DEGREE}; this Hessian is {m}x{n} "
             f"with entries of degree {delta}")
     odds = Fraction((best + 1) * max(delta, 1), WINDOW)
     return RankReport(best, "probabilistic", "seeded integer evaluations", m, n,

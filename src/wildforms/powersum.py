@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
-from .poly import Form, LinearForm, form_sum, power, scale
+from .poly import Form, form_sum, power, scale
 
 
 class PowerSumDecomposition:
@@ -113,10 +113,6 @@ class VeroneseMatrix:
         return linalg.rank(self.entries) if self.entries else 0
 
 
-def veronese_matrix(dec: PowerSumDecomposition, k: int) -> VeroneseMatrix:
-    return VeroneseMatrix(dec, k)
-
-
 def factorization_check(dec: PowerSumDecomposition, k: int, l: int) -> bool:
     """Exact test of mixed Hessian = d!/(l-k)! * W_{d-l} * D_{k,l} * W_k^t.
 
@@ -130,8 +126,8 @@ def factorization_check(dec: PowerSumDecomposition, k: int, l: int) -> bool:
         raise ValueError(f"need 0 <= k <= l with k+l <= {d}, got ({k}, {l})")
     target = dec.target
     hess = mixed_hessian(target, d - l, k)
-    w_left = veronese_matrix(dec, d - l)
-    w_right = veronese_matrix(dec, k)
+    w_left = VeroneseMatrix(dec, d - l)
+    w_right = VeroneseMatrix(dec, k)
     if (hess.row_basis.monomials != w_left.basis.monomials
             or hess.col_basis.monomials != w_right.basis.monomials):
         raise RuntimeError("basis mismatch between Hessian and W matrices")
@@ -160,7 +156,7 @@ def hessian_nonvanishing(dec: PowerSumDecomposition, k: int) -> bool:
     d = dec.degree
     if 2 * k > d:
         raise ValueError(f"need 2k <= {d}")
-    w = veronese_matrix(dec, k)
+    w = VeroneseMatrix(dec, k)
     if dec.length != w.nrows:
         raise ValueError(
             f"decomposition length {dec.length} is not a_{k} = {w.nrows}")

@@ -29,10 +29,10 @@ from wildforms.hessian import (
 )
 from wildforms.poly import make_form, monomials, parse
 from wildforms.powersum import (
+    VeroneseMatrix,
     binary_waring_rank,
     factorization_check,
     hessian_nonvanishing,
-    veronese_matrix,
 )
 
 from helpers import (
@@ -68,7 +68,7 @@ def test_acceptance_1_wild_quintic():
     checks.append(("hess2 rank certified",
                    rep.value == 9 and rep.certainty == "certified-symbolic"))
     checks.append(("hess1 nonzero", hessian_determinant(f, 1) is not None))
-    border = border_upper(f, r.x_vars, r.u_vars)
+    border = border_upper(f, r.strategy.x_vars, r.strategy.u_vars)
     checks.append(("border 10", border is not None and border.value == 10))
     checks.append(("border parts", border is not None and
                    sorted(p["value"] for p in border.parts) == [3, 7]))
@@ -92,14 +92,14 @@ def test_acceptance_2_degenerate_cubics():
                        oracle_hilbert(f) == (1, 5, 5, 1)))
         checks.append((f"{name} hess1 vanishes",
                        hessian_determinant(f, 1) is None))
-        slice_cert = slice_rank_vanishing(f, r.x_vars, r.u_vars)
+        slice_cert = slice_rank_vanishing(f, r.strategy.x_vars, r.strategy.u_vars)
         checks.append((f"{name} slice cert",
                        slice_cert is not None
                        and slice_cert["certainty"] == "certified-structural"))
-        cactus = cactus_lower_vanishing(f, 1, r.x_vars, r.u_vars)
+        cactus = cactus_lower_vanishing(f, 1, r.strategy.x_vars, r.strategy.u_vars)
         checks.append((f"{name} cactus 5",
                        cactus is not None and cactus.value == 5))
-        border = border_upper(f, r.x_vars, r.u_vars)
+        border = border_upper(f, r.strategy.x_vars, r.strategy.u_vars)
         checks.append((f"{name} border 5",
                        border is not None and border.value == 5))
         cert = wild_certificate(f, r.strategy)
@@ -123,7 +123,7 @@ def test_acceptance_3_wild_septic():
     checks.append(("cactus certified",
                    cactus is not None
                    and cactus.evidence["certainty"].startswith("certified")))
-    border = border_upper(f, r.x_vars, r.u_vars, parts=r.strategy.parts)
+    border = border_upper(f, r.strategy.x_vars, r.strategy.u_vars, parts=r.strategy.parts)
     checks.append(("border 15", border is not None and border.value == 15))
     cert = wild_certificate(f, r.strategy)
     checks.append(("verdict", cert["verdict"] == "wild"))
@@ -139,12 +139,12 @@ def test_acceptance_4_spread_form():
     a4 = catalecticant(f, 4).rank
     expected = sum((4 - i + 1) * math.comb(2 + i, i) for i in range(5))
     checks.append(("a_4 maximal", a4 == 70 == math.comb(8, 4) == expected))
-    cert = slice_rank_vanishing(f, r.x_vars, r.u_vars)
+    cert = slice_rank_vanishing(f, r.strategy.x_vars, r.strategy.u_vars)
     checks.append(("slice rank", cert is not None
                    and cert["slice_rank"] == 15 and cert["threshold"] == 5))
-    border = border_upper(f, r.x_vars, r.u_vars)
+    border = border_upper(f, r.strategy.x_vars, r.strategy.u_vars)
     checks.append(("border 80", border is not None and border.value == 80))
-    cactus = cactus_lower_vanishing(f, 4, r.x_vars, r.u_vars)
+    cactus = cactus_lower_vanishing(f, 4, r.strategy.x_vars, r.strategy.u_vars)
     checks.append(("cactus 70", cactus is not None and cactus.value == 70))
     full = wild_certificate(f, r.strategy)
     checks.append(("verdict honest", full["verdict"] == "not-established"))
@@ -199,7 +199,7 @@ def test_acceptance_6_factorization():
                     checks.append((f"factorization {dec.target} ({k},{l})",
                                    False))
         for k in range(d // 2 + 1):
-            w = veronese_matrix(dec, k)
+            w = VeroneseMatrix(dec, k)
             if dec.length != w.nrows:
                 continue
             if hessian_nonvanishing(dec, k):

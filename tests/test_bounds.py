@@ -57,7 +57,7 @@ class TestBihomogeneousBound:
     def test_degenerate_cubics(self):
         for name in ("perazzo", "bb-cubic"):
             r = build(name)
-            assert border_bound_bihomogeneous(r.form, r.x_vars, r.u_vars) == 5
+            assert border_bound_bihomogeneous(r.form, r.strategy.x_vars, r.strategy.u_vars) == 5
 
     def test_quintic_chunk(self):
         f = parse("x*u^3*v + y*u*v^3", "xyuv")
@@ -69,7 +69,7 @@ class TestBihomogeneousBound:
 
     def test_spread_form(self):
         r = build("monomial-spread(2, 4)")
-        assert border_bound_bihomogeneous(r.form, r.x_vars, r.u_vars) == 80
+        assert border_bound_bihomogeneous(r.form, r.strategy.x_vars, r.strategy.u_vars) == 80
 
     def test_guards(self):
         f = parse("x*u^3*v + y*u*v^3", "xyuv")
@@ -87,7 +87,7 @@ class TestBihomogeneousBound:
 class TestBorderUpper:
     def test_additive_auto_split(self):
         r = build("ikeda")
-        bound = border_upper(r.form, r.x_vars, r.u_vars)
+        bound = border_upper(r.form, r.strategy.x_vars, r.strategy.u_vars)
         assert bound is not None
         assert bound.value == 10
         assert bound.method == "additive"
@@ -234,7 +234,7 @@ class TestSliceRankVanishing:
     def test_degenerate_cubics(self):
         for name in ("perazzo", "bb-cubic"):
             r = build(name)
-            cert = slice_rank_vanishing(r.form, r.x_vars, r.u_vars)
+            cert = slice_rank_vanishing(r.form, r.strategy.x_vars, r.strategy.u_vars)
             assert cert is not None
             assert cert["criterion"] == "slice-rank"
             assert cert["k"] == 1
@@ -244,7 +244,7 @@ class TestSliceRankVanishing:
 
     def test_spread_form(self):
         r = build("monomial-spread(2, 4)")
-        cert = slice_rank_vanishing(r.form, r.x_vars, r.u_vars)
+        cert = slice_rank_vanishing(r.form, r.strategy.x_vars, r.strategy.u_vars)
         assert cert is not None
         assert cert["bidegree"] == [4, 14]
         assert cert["slice_rank"] == 15
@@ -253,7 +253,7 @@ class TestSliceRankVanishing:
 
     def test_none_when_not_bihomogeneous(self):
         r = build("ikeda")
-        assert slice_rank_vanishing(r.form, r.x_vars, r.u_vars) is None
+        assert slice_rank_vanishing(r.form, r.strategy.x_vars, r.strategy.u_vars) is None
 
     def test_none_for_nonvanishing_hessians(self):
         """Forms whose Hessian determinant is provably nonzero must
@@ -361,8 +361,8 @@ class TestSliceRankAgainstCoefficientMatrix:
     def test_family_members_and_other_partitions(self):
         for spec in ("perazzo", "bb-cubic", "monomial-spread(2, 4)", "ikeda"):
             r = build(spec)
-            assert slice_rank_vanishing(r.form, r.x_vars, r.u_vars) == \
-                reference_slice_rank_vanishing(r.form, r.x_vars, r.u_vars)
+            assert slice_rank_vanishing(r.form, r.strategy.x_vars, r.strategy.u_vars) == \
+                reference_slice_rank_vanishing(r.form, r.strategy.x_vars, r.strategy.u_vars)
         # the partition read the other way round, and one not bi-homogeneous
         f = parse("1/2*x*u^2 + 2/3*y*u*v + 3/5*z*v^2", "xyzuv")
         for xs, us in ((("x", "y", "z"), ("u", "v")), (("u", "v"), ("x", "y", "z")),
@@ -374,7 +374,7 @@ class TestSliceRankAgainstCoefficientMatrix:
 class TestCactusLowerBounds:
     def test_vanishing_route_via_slice_rank(self):
         r = build("perazzo")
-        got = cactus_lower_vanishing(r.form, 1, r.x_vars, r.u_vars)
+        got = cactus_lower_vanishing(r.form, 1, r.strategy.x_vars, r.strategy.u_vars)
         assert got is not None
         assert (got.value, got.k, got.route) == (5, 1, "vanishing-hessian")
         assert got.evidence["criterion"] == "slice-rank"
@@ -393,7 +393,7 @@ class TestCactusLowerBounds:
 
     def test_vanishing_route_spread(self):
         r = build("monomial-spread(2, 4)")
-        got = cactus_lower_vanishing(r.form, 4, r.x_vars, r.u_vars)
+        got = cactus_lower_vanishing(r.form, 4, r.strategy.x_vars, r.strategy.u_vars)
         assert got is not None
         assert got.value == 70
         assert got.evidence["criterion"] == "slice-rank"
@@ -515,10 +515,10 @@ class TestDeterminantWitness:
         assert wild_certificate(form) == expected
 
     @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
-    def test_entry_degree_budget_is_strict(self, route):
-        policy = RankPolicy(max_entry_degree=0, strict=True)
+    def test_entry_degree_budget_is_strict(self, monkeypatch, route):
+        monkeypatch.setattr(hessian, "MAX_ENTRY_DEGREE", 0)
         with pytest.raises(BudgetExceeded, match="entry degree"):
-            route(SHEARED, 1, policy=policy)
+            route(SHEARED, 1, policy=RankPolicy(strict=True))
 
 
 SUBSUMPTION_MEMBERS = ["perazzo", "bb-cubic", "ikeda", "power-family(3)",

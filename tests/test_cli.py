@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import functools
 import gc
 import json
 from fractions import Fraction
 
 import pytest
 
-from wildforms import cli
+from wildforms import cli, hessian
 from wildforms.apolar import CatalecticantSlice
 from wildforms.cli import main
 from wildforms.families import build
@@ -18,6 +17,31 @@ from wildforms.poly import Form, parse
 
 SHEARED = ("x^3 + 2*x^2*u + x*y^2 + x*y*v + x*u^2 + y^2*z + y^2*u "
            "+ 2*y*z*v + y*u*v + z*v^2")
+
+
+# every refusal of a family or formula spec, as the CLI prints it
+REFUSALS = [
+    (["analyze", "--family", "nope"],
+     "error: unknown family 'nope'; known: bb-cubic, exceptional, ikeda, "
+     "monomial-spread, perazzo, power-family\n"),
+    (["analyze", "--family", "power-family-large(3)"],
+     "error: power-family-large is formula-only and cannot be built; "
+     "power_family_bounds(d) for members above d = 4\n"),
+    (["analyze", "--family", "ikeda(1)"],
+     "error: ikeda takes 0 integer parameter(s), got 1\n"),
+    (["analyze", "--family", "exceptional(2)"],
+     "error: exceptional takes 2 integer parameter(s), got 1\n"),
+    (["family", "--formula", "nope"],
+     "error: unknown formula 'nope'; known: gn-quartic-formula, "
+     "power-family-large\n"),
+    (["family", "--formula", "ikeda"],
+     "error: unknown formula 'ikeda'; known: gn-quartic-formula, "
+     "power-family-large\n"),
+    (["family", "--formula", "gn-quartic-formula(1,2,3)"],
+     "error: gn-quartic-formula takes between 1 and 2 integers\n"),
+    (["family", "--formula", "power-family-large()"],
+     "error: power-family-large takes between 1 and 1 integers\n"),
+]
 
 
 def run(capsys, *argv):
@@ -164,8 +188,7 @@ class TestHessian:
         assert (det is None) is vanishes
 
     def test_probabilistic_rank_computes_determinant(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "RankPolicy",
-                            functools.partial(RankPolicy, max_entry_degree=0))
+        monkeypatch.setattr(hessian, "MAX_ENTRY_DEGREE", 0)
         calls = []
 
         def counted(*a):
@@ -351,6 +374,11 @@ class TestBadInput:
         assert code == 2
         assert err == ("error: family spec 'exceptional(3,-)' has a "
                        "non-integer argument '-'\n")
+
+    @pytest.mark.parametrize("argv,err", REFUSALS,
+                             ids=[" ".join(argv) for argv, _ in REFUSALS])
+    def test_family_refusal_texts(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_exceptional_one_x_variable(self, capsys):
         code, _, err = run(capsys, "analyze", "--family", "exceptional(1,3)")

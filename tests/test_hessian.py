@@ -174,14 +174,14 @@ class TestGenericRankLadder:
         {"trials": 0},
         {"trials": -3},
         {"max_symbolic_dim": -1},
-        {"max_entry_degree": -1},
     ])
     def test_policy_that_certifies_nothing_rejected(self, bad):
         with pytest.raises(ValueError):
             RankPolicy(**bad)
 
-    def test_policy_edge_values_accepted(self):
-        policy = RankPolicy(trials=1, max_symbolic_dim=0, max_entry_degree=0)
+    def test_policy_edge_values_accepted(self, monkeypatch):
+        monkeypatch.setattr(hessian, "MAX_ENTRY_DEGREE", 0)
+        policy = RankPolicy(trials=1, max_symbolic_dim=0)
         rep = generic_rank(mixed_hessian(build("perazzo").form, 1, 1), policy)
         assert (rep.value, rep.certainty) == (4, "certified-structural")
 

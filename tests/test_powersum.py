@@ -24,7 +24,6 @@ from wildforms.powersum import (
     hessian_nonvanishing,
     is_squarefree_binary,
     verify_decomposition,
-    veronese_matrix,
 )
 
 from helpers import (oracle_binary_rank, random_decomposition, random_form,
@@ -87,7 +86,7 @@ class TestVeroneseMatrix:
     def test_rows_follow_apolar_basis(self):
         forms = [LinearForm("xy", (1, 1)), LinearForm("xy", (2, -1))]
         dec = PowerSumDecomposition(forms, 3)
-        w = veronese_matrix(dec, 1)
+        w = VeroneseMatrix(dec, 1)
         assert w.basis.monomials == ((1, 0), (0, 1))
         assert w.entries == [[1, 2], [1, -1]]
 
@@ -150,7 +149,7 @@ class TestFactorization:
             if dec is None:
                 continue
             for k in (0, 1):
-                w = veronese_matrix(dec, k)
+                w = VeroneseMatrix(dec, k)
                 if dec.length != w.nrows:
                     continue
                 claim = hessian_nonvanishing(dec, k)
