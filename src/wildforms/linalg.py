@@ -1,20 +1,35 @@
 """Exact linear algebra over the rationals.
 
-One integer eliminator, Bareiss fraction-free forward elimination,
+One exact eliminator, Bareiss fraction-free forward elimination,
 serves rank, the greedy-first basis and kernels: lines are scaled to
 integers first, so no rounding exists anywhere.  Rank has
 one route: a dense matrix is read as the sparse rows of its nonzero
 cells.  Sparse rows are split into connected components of the
-row/column incidence graph and each component is reduced transposed,
-one line per column, so the pivot columns are the greedy-first
-independent rows; catalecticant slices of bi-graded forms and the
-evaluated Hessians of sparse forms are block diagonal under that
-split, which keeps the large cases small.  A component of one row
-keeps that row, and one of one column keeps its first row, since its
-rows are nonzero multiples of each other; neither is eliminated.  Each
-other component is divided by the gcd of every row and of every column
-before elimination, which keeps Bareiss' coefficient growth down; rows
-of plain ints skip the denominator scaling.  Kernels have one route
+row/column incidence graph; catalecticant slices of bi-graded forms
+and the evaluated Hessians of sparse forms are block diagonal under
+that split, which keeps the large cases small.  A component of one
+row keeps that row, and one of one column keeps its first row, since
+its rows are nonzero multiples of each other; neither is eliminated.
+
+A sparse component, at most a quarter of whose cells are nonzero, is
+first eliminated mod the prime p = 2^61 - 1.  At every prefix of its
+integer rows, rank mod p <= rank over Q <= nu, the size of a maximum
+matching of the rows to their support columns.  ``matching`` adds the
+rows in order and never unmatches one (Kuhn's augmenting paths), so
+its matched rows are the rows where nu of the prefix grows.  When the
+rows kept mod p are all the rows, or exactly the matched rows, the
+three counts agree at every prefix, and those rows are the
+greedy-first rows over Q.  Otherwise the component goes to Bareiss, so
+a bad prime costs time, never correctness, and the fixed prime keeps
+every result deterministic.  Denser components go to Bareiss directly:
+on near-full components the mod-p pass measured slower than Bareiss
+itself, and it would still send some of them on to Bareiss.
+
+Bareiss reduces a component transposed, one line per column, so the
+pivot columns are the greedy-first independent rows.  Each component
+is divided by the gcd of every row and of every column first, which
+keeps Bareiss' coefficient growth down; rows of plain ints skip the
+denominator scaling.  Kernels have one route
 too: ``nullspace`` takes sparse vectors and returns the dependencies
 among them, so a caller hands it only the vectors it stores (a
 slice's nonzero rows, a form's terms), never a dense matrix.  It
@@ -27,10 +42,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Hashable, Iterable, Sequence
 
 Matrix = Sequence[Sequence[Fraction | int]]
+
+PRIME = (1 << 61) - 1
 
 
 def _bareiss_forward(rows: list[list[int]]) -> list[int]:
@@ -62,6 +80,54 @@ def _bareiss_forward(rows: list[list[int]]) -> list[int]:
         prev = piv
         pivots.append(c)
     return pivots
+
+
+def _int_row(row: dict[Hashable, Fraction | int]) -> dict[Hashable, int]:
+    """The row times the lcm of its denominators; a row of ints as it is."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
+def _independent_mod_p(rows: list[dict[int, int]]) -> list[int]:
+    """Indices of the greedy-first integer rows independent mod PRIME.
+
+    Each row in turn is reduced by the kept rows and kept when a cell
+    survives; its last surviving column becomes its pivot, scaled to 1,
+    so every kept row holds only columns below its pivot.  Reduction
+    takes the pivot columns it hits from the last down, which is why a
+    subtraction never brings back a column already cleared.  Pivoting
+    on the last column rather than the first makes far less fill-in on
+    catalecticant slices, whose columns run from the largest monomial.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    kept = []
+    for t, row in enumerate(rows):
+        work = {c: x for c, v in row.items() if (x := v % PRIME)}
+        hits = [-c for c in work if c in echelon]
+        heapify(hits)
+        while hits:
+            c = -heappop(hits)
+            f = work.pop(c, 0)
+            if not f:
+                continue
+            for d, v in echelon[c].items():
+                x = work.get(d)
+                if x is None:
+                    work[d] = -f * v % PRIME
+                    if d in echelon:
+                        heappush(hits, -d)
+                elif x := (x - f * v) % PRIME:
+                    work[d] = x
+                else:
+                    del work[d]
+        if work:
+            lead = max(work)
+            inv = pow(work.pop(lead), -1, PRIME)
+            echelon[lead] = {d: v * inv % PRIME for d, v in work.items()}
+            kept.append(t)
+    return kept
 
 
 def rank(matrix: Matrix) -> int:
@@ -129,15 +195,22 @@ def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
     other, so each component is settled on its own.  A one-row
     component is its row, kept when nonzero.  In a one-column component
     every nonzero row is a nonzero multiple of every other, so the first
-    nonzero one is kept and the rest depend on it.  Any other component
-    is eliminated transposed: the pivot columns of the echelon form of
-    M^T are the greedy-first independent rows of M.  Each row of M is
-    scaled to integers by the lcm of its denominators (rows of ints
-    need no scaling) and divided by the gcd of the result, then
-    each row of M^T by the gcd of its entries.  Both are nonzero
-    scalings, of the columns and of the rows of M^T: the first keeps
-    every dependency among the rows of M, the second keeps the row
-    space of M^T, so the rank and the pivot columns cannot change,
+    nonzero one is kept and the rest depend on it.  Every other
+    component has each row scaled to integers by the lcm of its
+    denominators (rows of ints need no scaling), a nonzero scaling that
+    keeps every dependency among the rows.
+
+    A component with nnz <= rows x cols / 4 is eliminated mod PRIME
+    first.  Its rows kept mod p are the answer when they are all its
+    rows, or when they equal the rows ``matching`` matches on its row
+    supports; the module docstring gives the argument.  Otherwise, and
+    for every denser component, it is eliminated transposed by Bareiss:
+    the pivot columns of the echelon form of M^T are the greedy-first
+    independent rows of M.  Each integer row of M is divided by its
+    gcd, then each row of M^T by the gcd of its entries.  Both are
+    nonzero scalings, of the columns and of the rows of M^T: the first
+    keeps every dependency among the rows of M, the second keeps the
+    row space of M^T, so the rank and the pivot columns cannot change,
     while the entries Bareiss starts from get smaller.
     """
     parent: dict[int, int] = {}
@@ -173,14 +246,15 @@ def greedy_independent(rows: Sequence[dict[int, Fraction | int]]) -> list[int]:
             kept.extend(islice((i for i in indices if rows[i][cols[0]]), 1))
             continue
         where = {c: j for j, c in enumerate(cols)}
+        if 4 * sum(len(rows[i]) for i in indices) <= len(indices) * len(cols):
+            scaled = [{where[c]: v for c, v in _int_row(rows[i]).items()} for i in indices]
+            local = _independent_mod_p(scaled)
+            if len(local) == len(indices) or local == sorted(matching(scaled).values()):
+                kept.extend(indices[t] for t in local)
+                continue
         lines = [[0] * len(indices) for _ in cols]
         for t, i in enumerate(indices):
-            row = rows[i]
-            if all(type(v) is int for v in row.values()):
-                scaled = row
-            else:
-                scale = math.lcm(*(v.denominator for v in row.values()))
-                scaled = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            scaled = _int_row(rows[i])
             g = math.gcd(*scaled.values()) or 1
             for c, v in scaled.items():
                 lines[where[c]][t] = v // g

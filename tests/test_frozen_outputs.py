@@ -19,7 +19,9 @@ row, and one with rational coefficients.  Slice cells with mixed
 denominators are pinned by a rational bigraded cubic, certified by the
 slice-rank criterion, whose Hessian gets a closure kernel witness, and
 by a rational multiple of the sheared perazzo cubic, whose witness
-comes from full elimination.  The family
+comes from full elimination.  Sparse slice components ranked mod p,
+full rank or settled by the support matching, are pinned by
+monomial-spread(3,4).  The family
 listing, a member built as a product of forms, a chunk-plus-powers sum
 whose parts ``bounds`` adds up again, and polynomial text whose terms
 cancel and come back pin the form arithmetic.
@@ -51,8 +53,10 @@ elements for every Lefschetz check, and ``analyze`` and ``hessian
 --k 1`` of the rational bigraded cubic and ``hessian --k 1`` of 2/3
 times the sheared perazzo cubic by commit a307862, whose slices still
 held Fraction cells for rational forms and whose slice-rank criterion
-built its own coefficient matrix), from the root of its
-checkout with this file copied in:
+built its own coefficient matrix, and ``analyze`` and ``hilbert`` of
+monomial-spread(3,4) by commit f4f0433, which eliminated every slice
+component of two or more rows and columns by Bareiss), from the root
+of its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -161,6 +165,10 @@ COMMANDS = [
      "--partition", "X=x,y,z;U=u,v", "--k", "1"),
     # 2/3 times the sheared perazzo cubic: the witness from full elimination
     ("hessian", "--poly", SCALED_SHEARED_PERAZZO, "--vars", "x,y,z,u,v", "--k", "1"),
+    # sparse slice components of ~150 rows, ranked mod p and settled by
+    # the support matching; about 9 s each when Bareiss eliminated them
+    ("analyze", "--family", "monomial-spread(3,4)"),
+    ("hilbert", "--family", "monomial-spread(3,4)"),
 ]
 
 

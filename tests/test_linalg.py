@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildforms import polymat
+from wildforms import linalg, polymat
+from wildforms.apolar import catalecticant
 from wildforms.families import build
 from wildforms.hessian import evaluated_rank, mixed_hessian
 from wildforms.linalg import (
@@ -366,6 +368,150 @@ class TestComponentShortcuts:
         min_size=0, max_size=2), min_size=1, max_size=30))
     def test_property_many_tiny_components(self, rows):
         _assert_greedy_matches_reference(rows)
+
+
+def _count_routes(monkeypatch) -> Counter:
+    """Counts how ``greedy_independent`` settles each component of at
+    least two rows and two columns: ``full`` (every row kept mod p),
+    ``matching`` (the rows kept mod p are the matched rows),
+    ``fallback`` (Bareiss after the mod-p pass) and ``dense`` (Bareiss
+    only).  A fallback's Bareiss lines have the nonzero pattern of the
+    rows the mod-p pass just saw, transposed; a dense component's cannot,
+    as it has more nonzeros for its shape."""
+    counts: Counter = Counter()
+    seen: list = []
+    mod_p, match, bareiss = linalg._independent_mod_p, linalg.matching, linalg._bareiss_forward
+
+    def counted_mod_p(rows):
+        kept = mod_p(rows)
+        counts["full" if len(kept) == len(rows) else "deficient"] += 1
+        seen[:] = [[sorted(c for c, v in row.items() if v) for row in rows]]
+        return kept
+
+    def counted_matching(supports):
+        counts["matching calls"] += 1
+        return match(supports)
+
+    def counted_bareiss(lines):
+        pattern = [[j for j, line in enumerate(lines) if line[t]]
+                   for t in range(len(lines[0]))]
+        counts["fallback" if seen and seen[0] == pattern else "dense"] += 1
+        seen.clear()
+        return bareiss(lines)
+
+    monkeypatch.setattr(linalg, "_independent_mod_p", counted_mod_p)
+    monkeypatch.setattr(linalg, "matching", counted_matching)
+    monkeypatch.setattr(linalg, "_bareiss_forward", counted_bareiss)
+    return counts
+
+
+def _routes(counts: Counter) -> dict:
+    assert counts["matching calls"] == counts["deficient"]
+    return {"full": counts["full"], "matching": counts["deficient"] - counts["fallback"],
+            "fallback": counts["fallback"], "dense": counts["dense"]}
+
+
+def _sparse_block(rng: random.Random, offset: int) -> list[dict]:
+    """Rows over columns offset.. with two or three cells each: as many
+    rows as columns or fewer, more rows than columns, or some rows sums
+    of two earlier ones, which the mod-p pass drops but the matching may
+    still match."""
+    ncols = rng.randint(8, 14)
+    kind = rng.choice(["wide", "tall", "sums"])
+    nrows = {"wide": rng.randint(2, ncols), "tall": ncols + rng.randint(1, 4),
+             "sums": rng.randint(4, ncols - 2)}[kind]
+    rows = [{offset + c: _cell(rng) for c in rng.sample(range(ncols), rng.randint(2, 3))}
+            for _ in range(nrows)]
+    if kind == "sums":
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(rows, 2)
+            total = {c: a.get(c, 0) + b.get(c, 0) for c in {*a, *b}}
+            rows.insert(rng.randint(0, len(rows)), {c: v for c, v in total.items() if v})
+    return rows
+
+
+def _dense_rows(rng: random.Random, m: int, n: int) -> list[dict]:
+    """Sparse rows of an m x n matrix over ints and Fractions with more
+    than a quarter of its cells nonzero."""
+    while True:
+        rows = [{j: _cell(rng) for j in range(n) if rng.random() < 0.7} for _ in range(m)]
+        if 4 * sum(map(len, rows)) > m * n and all(rows):
+            return rows
+
+
+PINNED_SPREAD_ROUTES = {"full": 22, "matching": 10, "fallback": 0, "dense": 122}
+
+
+class TestModularRoute:
+    """Sparse components ranked mod p and settled by the matching, against
+    the Fraction reference; dense and disputed components go to Bareiss."""
+
+    def test_seeded_sparse_corpora_reach_every_outcome(self, monkeypatch):
+        rng = random.Random(171)
+        counts = _count_routes(monkeypatch)
+        for _ in range(150):
+            rows = [row for block in range(rng.randint(1, 4))
+                    for row in _sparse_block(rng, 20 * block)]
+            rng.shuffle(rows)
+            _assert_greedy_matches_reference(rows)
+        routes = _routes(counts)
+        assert min(routes["full"], routes["matching"], routes["fallback"]) >= 20, routes
+
+    def test_rank_that_drops_only_mod_p_falls_back(self, monkeypatch):
+        # rows 0..7 span the 9-column vectors whose alternating sum is 0;
+        # row 8 is e0 + p*e7 - e8, in that span mod p but not over Q
+        rows = [{i: 1, i + 1: 1} for i in range(8)] + [{0: 1, 7: linalg.PRIME, 8: -1}]
+        assert 4 * sum(map(len, rows)) <= 9 * 9
+        counts = _count_routes(monkeypatch)
+        assert reference_greedy_independent(rows) == list(range(9))
+        assert greedy_independent(rows) == list(range(9))
+        assert _routes(counts) == {"full": 0, "matching": 0, "fallback": 1, "dense": 0}
+        as_fractions = [{c: Fraction(v, 3) for c, v in row.items()} for row in rows]
+        assert greedy_independent(as_fractions) == list(range(9))
+        assert _routes(counts)["fallback"] == 2
+        # with e0 after it, the rank mod p reaches nu = 9 too, but on rows
+        # 0..7 and 9, so the kept rows, not their count, decide
+        rows.append({0: 1})
+        assert 4 * sum(map(len, rows)) <= 10 * 9
+        assert reference_greedy_independent(rows) == list(range(9))
+        assert greedy_independent(rows) == list(range(9))
+        assert _routes(counts)["fallback"] == 3
+
+    def test_dense_components_never_reach_the_mod_p_pass(self, monkeypatch):
+        counts = _count_routes(monkeypatch)
+        rng = random.Random(172)
+        for _ in range(40):
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            _assert_greedy_matches_reference(_dense_rows(rng, m, n))
+        # an 8-cycle of rows and columns has nnz = rows x cols / 4 exactly;
+        # one more cell makes it dense
+        cycle = [{i: 1, (i + 1) % 8: 2} for i in range(8)]
+        _assert_greedy_matches_reference([*cycle[:-1], {**cycle[-1], 3: 5}])
+        assert counts["full"] + counts["deficient"] == 0
+        assert counts["dense"] > 40
+        assert greedy_independent(cycle) == reference_greedy_independent(cycle)
+        assert counts["full"] + counts["deficient"] == 1
+
+    def test_matched_rows_are_where_the_prefix_matching_grows(self):
+        rng = random.Random(173)
+        for _ in range(200):
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            density = rng.random()
+            supports = [[j for j in range(n) if rng.random() < density] for _ in range(m)]
+            sizes = [max_matching(supports[:i]) for i in range(m + 1)]
+            grows = [i for i in range(m) if sizes[i + 1] > sizes[i]]
+            assert sorted(matching(supports).values()) == grows
+
+    def test_route_of_each_slice_component_is_pinned(self, monkeypatch):
+        """Slices 0..12 of monomial-spread(2,5), the half of its degree-25
+        window that ``hilbert`` eliminates; each component's route counted,
+        ranks against the Fraction reference."""
+        form = build("monomial-spread(2,5)").form
+        counts = _count_routes(monkeypatch)
+        for k in range(13):
+            slice_ = catalecticant(form, k)
+            assert slice_.basis_rows == reference_greedy_independent(slice_.rows)
+        assert _routes(counts) == PINNED_SPREAD_ROUTES
 
 
 def sympy_from_poly(p, syms):

@@ -9,8 +9,8 @@ import pytest
 
 import wildforms
 
-MODULES = sorted(p for p in Path(wildforms.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(wildforms.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -37,3 +37,31 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def float_uses(source: str) -> list[str]:
+    """Float literals, reads of the name ``float`` and true divisions,
+    as "line: what" in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "name float"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_float_uses_are_found():
+    source = ("x = 1.5\ny = float(2) + 1e3\nz = a / b\nw //= 2\nv /= 3\n"
+              "u = Fraction(2, 3) // 1\ndef f(t: float) -> int:\n    return t\n")
+    assert float_uses(source) == ["1: float literal 1.5", "2: float literal 1000.0",
+                                  "2: name float", "3: true division",
+                                  "5: true division", "7: name float"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats_and_no_true_division(path):
+    """Aim 3: exact arithmetic only, so no float can enter a result."""
+    assert float_uses(path.read_text(encoding="utf-8")) == []
