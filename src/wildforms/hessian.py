@@ -17,17 +17,17 @@ support and nu are computed once per Hessian and kept on it, so a
 caller that only needs nu (the cactus routes, when nu alone settles
 their bound) pays for no evaluation and no entry.  Full rank at a
 point settles the rank at once.  Below a size cap the rank is then
-decided symbolically, with a kernel vector verified exactly over Z[x].
-When evaluation already reaches nu, each column the maximum matching
-leaves free yields a kernel vector from its matching closure, a block
-of s rows and s+1 columns, and the n - nu vectors are independent;
-when evaluation falls short of nu, or a closure vector vanishes at its
-own column, fraction-free elimination of the whole matrix decides.
-Both routes run polymat's fraction-free Gauss-Jordan, so the report
-keeps its method label "fraction-free Gauss-Jordan elimination", which
-tools reading the reports match on.  Above the cap, meeting bounds
-certify structurally, and any other report is labelled probabilistic
-with its Schwartz-Zippel odds, never silently.
+decided symbolically, with one kernel vector verified exactly over
+Z[x].  When evaluation already reaches nu, the rank is certified as
+nu, and the kernel witness comes from the matching closure of the
+lowest column the maximum matching leaves free, a block of s rows and
+s+1 columns; when evaluation falls short of nu, or the closure vector
+vanishes at its own column, fraction-free elimination of the whole
+matrix decides.  Both routes run polymat's fraction-free Gauss-Jordan,
+so the report keeps its method label "fraction-free Gauss-Jordan
+elimination", which tools reading the reports match on.  Above the
+cap, meeting bounds certify structurally, and any other report is
+labelled probabilistic with its Schwartz-Zippel odds, never silently.
 
 The symbolic determinant of ``hessian_determinant`` serves only the
 ``hessian`` command, when a square rank is probabilistic.
@@ -46,7 +46,7 @@ from operator import add, mul
 from . import linalg, polymat
 from .apolar import (CatalecticantSlice, apolar_basis, catalecticant,
                      require_analysis_form)
-from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply
+from .poly import Form, LinearForm, _as_fraction, apply, monomial, multiply, power
 
 
 WINDOW = 1 << 16  # seeded evaluation coordinates are drawn from 1..WINDOW
@@ -237,49 +237,43 @@ def _symbolic_rows(hess: MixedHessian) -> tuple[list[list[polymat.Poly]], int]:
     return rows, polymat.guard_mask(hess.form.nvars)
 
 
-def _closure_kernels(rows: list[list[polymat.Poly]], support: list[set[int]],
-                     guard: int) -> list[list[polymat.Poly]] | None:
-    """Kernel vectors read off a maximum matching, one per unmatched column.
+def _closure_kernel(rows: list[list[polymat.Poly]], support: list[set[int]],
+                    guard: int) -> list[polymat.Poly] | None:
+    """A kernel vector read off a maximum matching at its lowest unmatched
+    column t; the matrix must have an unmatched column.
 
-    The closure of an unmatched column t is the smallest set of columns
-    holding t and the matched column of every row with an entry in one
-    of them.  Every such row is matched (else an augmenting path would
-    exist), so the closure's s rows are the only rows touching its s+1
-    columns, and a kernel vector of that small block, padded with
-    zeros, is one of the whole matrix.  No closure holds a second
-    unmatched column, so vectors nonzero at their own column are
-    independent.  None when some vector vanishes at its own column.
+    The closure of t is the smallest set of columns holding t and the
+    matched column of every row with an entry in one of them.  Every
+    such row is matched (else an augmenting path would exist), so the
+    closure's s rows are the only rows touching its s+1 columns, and a
+    kernel vector of that small block, padded with zeros, is one of the
+    whole matrix.  None when the vector vanishes at t.  One vector is
+    all ``generic_rank`` needs: it calls this only when evaluation
+    reaches nu, so the rank is already certified as nu (evaluation
+    bounds it below, the matching above), and the vector is the
+    report's kernel witness.
     """
     n = len(rows[0])
     matched = linalg.matching(support)
     row_column = {i: c for c, i in matched.items()}
-    column_rows: list[list[int]] = [[] for _ in range(n)]
-    for i, columns in enumerate(support):
-        for c in columns:
-            column_rows[c].append(i)
-    vectors = []
-    for t in range(n):
-        if t in matched:
-            continue
-        columns, block_rows, frontier = {t}, set(), [t]
-        while frontier:
-            for i in column_rows[frontier.pop()]:
-                if i not in block_rows:
-                    block_rows.add(i)
-                    columns.add(row_column[i])
-                    frontier.append(row_column[i])
-        vector: list[polymat.Poly] = [{} for _ in range(n)]
-        vector[t] = {0: 1}
-        if block_rows:
-            columns = sorted(columns)
-            block = [[rows[i][c] for c in columns] for i in sorted(block_rows)]
-            piece = polymat.kernel_vector(polymat.bareiss_jordan(block, guard), guard)
-            for c, w in zip(columns, piece):
-                vector[c] = w
-        if not vector[t]:
-            return None
-        vectors.append(vector)
-    return vectors
+    t = min(c for c in range(n) if c not in matched)
+    columns, block_rows, frontier = {t}, set(), [t]
+    while frontier:
+        c = frontier.pop()
+        for i, row_columns in enumerate(support):
+            if c in row_columns and i not in block_rows:
+                block_rows.add(i)
+                columns.add(row_column[i])
+                frontier.append(row_column[i])
+    vector: list[polymat.Poly] = [{} for _ in range(n)]
+    vector[t] = {0: 1}
+    if block_rows:
+        columns = sorted(columns)
+        block = [[rows[i][c] for c in columns] for i in sorted(block_rows)]
+        piece = polymat.kernel_vector(polymat.bareiss_jordan(block, guard), guard)
+        for c, w in zip(columns, piece):
+            vector[c] = w
+    return vector if vector[t] else None
 
 
 def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankReport:
@@ -312,30 +306,26 @@ def generic_rank(hess: MixedHessian, policy: RankPolicy | None = None) -> RankRe
     delta = hess.entry_degree
     if max(m, n) <= policy.max_symbolic_dim and delta <= MAX_ENTRY_DEGREE:
         rows, guard = _symbolic_rows(hess)
-        vectors = (_closure_kernels(rows, hess.support, guard)
-                   if best == bound else None)
-        if vectors is not None:
+        vector = (_closure_kernel(rows, hess.support, guard)
+                  if best == bound else None)
+        if vector is not None:
             value = bound
         else:
             result = polymat.bareiss_jordan(rows, guard)
             value = result.rank
             if value < best:
                 raise RuntimeError("symbolic rank below an evaluation witness")
-            if value < cap:
-                vectors = [polymat.kernel_vector(result, guard)]
-                if vectors[0] is None:
-                    raise RuntimeError("degenerate matrix without a kernel vector")
+            if value < cap:  # then some column is free
+                vector = polymat.kernel_vector(result, guard)
         witness_forms = None
-        if vectors:
-            for vector in vectors:
-                for row in rows:
-                    acc: polymat.Poly = {}
-                    for entry, w in zip(row, vector):
-                        if entry and w:
-                            acc = polymat.padd(acc, polymat.pmul(entry, w))
-                    if acc:
-                        raise RuntimeError("kernel witness failed exact verification")
-            vector = vectors[0]
+        if vector is not None:
+            for row in rows:
+                acc: polymat.Poly = {}
+                for entry, w in zip(row, vector):
+                    if entry and w:
+                        acc = polymat.padd(acc, polymat.pmul(entry, w))
+                if acc:
+                    raise RuntimeError("kernel witness failed exact verification")
             content = math.gcd(*(c for w in vector for c in w.values())) or 1
             witness_forms = [polymat.to_form(w, hess.form.variables, divide=content)
                              for w in vector]
@@ -477,32 +467,20 @@ def lefschetz_property(f: Form, prop: str,
 def multiplication_map_rank(f: Form, L: LinearForm, k: int, l: int) -> int:
     """Rank of multiplication by L^(l-k) from degree k to degree l.
 
-    Built directly by reducing products modulo the annihilator, so it is
-    an independent cross-check for the evaluated Hessian rank.  The
-    images of the degree-l basis monomials are independent; one
-    ``nullspace`` call over them followed by the images of the products
-    L^(l-k) * m, m in the degree-k basis, gives each product's
-    dependency, whose entries on the degree-l images are minus the
-    product's coordinates.  The rank is that of the coordinate vectors.
+    Built directly from the products L^(l-k) * m, m in the degree-k
+    basis, so it is an independent cross-check for the evaluated
+    Hessian rank.  The rank is that of their images (L^(l-k) * m)(f):
+    an operator of degree l is zero in A_f exactly when it annihilates
+    f, so g -> g(f) is injective on degree l and keeps every rank.
     """
     require_analysis_form(f)
     if not 0 <= k < l <= f.degree:
         raise ValueError(f"need 0 <= k < l <= {f.degree}, got ({k}, {l})")
     if L.variables != f.variables:
         raise ValueError("element and form use different variable tuples")
-    images = [apply(monomial(f.variables, e), f).terms
-              for e in apolar_basis(f, l).monomials]
-    n = len(images)
-    ell = L.to_form()
-    op = ell
-    for _ in range(l - k - 1):
-        op = multiply(op, ell)
+    op = power(L, l - k)
+    images = []
     for e in apolar_basis(f, k).monomials:
         image = apply(multiply(op, monomial(f.variables, e)), f)
         images.append({} if image is None else image.terms)
-    dependencies = linalg.nullspace(images)
-    products = range(n, len(images))
-    if any(t not in dependencies for t in products):
-        raise RuntimeError("product image left the span of the basis images")
-    return linalg.sparse_rank([{i: c for i, c in dependencies[t].items() if i < n}
-                               for t in products])
+    return linalg.sparse_rank(images)

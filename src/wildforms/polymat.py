@@ -226,10 +226,10 @@ def kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:
     """One right-kernel vector with polynomial entries, or None if full rank.
 
     Uses the first free column c and back-substitutes through the
-    echelon rows with v[c] = p, p the last pivot.  p is the determinant
-    of the pivot block up to sign, so by Cramer's rule every entry is a
-    polynomial and each division below is exact (pdivexact raises if
-    one is not).
+    echelon rows with v[c] = p, p the last pivot (p = 1 at rank zero).
+    p is the determinant of the pivot block up to sign, so by Cramer's
+    rule every entry is a polynomial and each division below is exact
+    (pdivexact raises if one is not).
     """
     pivots = result.pivot_cols
     free = [c for c in range(result.ncols) if c not in pivots]
@@ -237,10 +237,7 @@ def kernel_vector(result: JordanResult, guard: int) -> list[Poly] | None:
         return None
     c = free[0]
     vector: list[Poly] = [{} for _ in range(result.ncols)]
-    if result.rank == 0:
-        vector[c] = {0: 1}
-        return vector
-    p = result.rows[-1][pivots[-1]]
+    p = result.rows[-1][pivots[-1]] if pivots else {0: 1}
     vector[c] = p
     for i in range(result.rank - 1, -1, -1):
         row = result.rows[i]

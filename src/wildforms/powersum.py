@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from . import linalg, polymat
 from .apolar import apolar_basis, catalecticant, require_analysis_form
+from .hessian import mixed_hessian
 from .poly import Form, form_sum, power, scale
 
 
@@ -119,8 +120,6 @@ def factorization_check(dec: PowerSumDecomposition, k: int, l: int) -> bool:
     The diagonal D carries the decomposition scalars along with the
     powers l_r^(l-k), which keeps the identity true for signed inputs.
     """
-    from .hessian import mixed_hessian
-
     d = dec.degree
     if not (0 <= k <= l and k + l <= d):
         raise ValueError(f"need 0 <= k <= l with k+l <= {d}, got ({k}, {l})")

@@ -520,6 +520,52 @@ def reference_symbolic_rows(hess) -> tuple[list[list[Poly]], int]:
     return rows, guard
 
 
+def reference_closure_kernels(rows: list[list[polymat.Poly]], support: list[set[int]],
+                              guard: int) -> list[list[polymat.Poly]] | None:
+    """The closure rung before ``_closure_kernel`` kept one vector:
+    kernel vectors read off a maximum matching, one per unmatched column.
+
+    The closure of an unmatched column t is the smallest set of columns
+    holding t and the matched column of every row with an entry in one
+    of them.  Every such row is matched (else an augmenting path would
+    exist), so the closure's s rows are the only rows touching its s+1
+    columns, and a kernel vector of that small block, padded with
+    zeros, is one of the whole matrix.  No closure holds a second
+    unmatched column, so vectors nonzero at their own column are
+    independent.  None when some vector vanishes at its own column.
+    """
+    n = len(rows[0])
+    matched = linalg.matching(support)
+    row_column = {i: c for c, i in matched.items()}
+    column_rows: list[list[int]] = [[] for _ in range(n)]
+    for i, columns in enumerate(support):
+        for c in columns:
+            column_rows[c].append(i)
+    vectors = []
+    for t in range(n):
+        if t in matched:
+            continue
+        columns, block_rows, frontier = {t}, set(), [t]
+        while frontier:
+            for i in column_rows[frontier.pop()]:
+                if i not in block_rows:
+                    block_rows.add(i)
+                    columns.add(row_column[i])
+                    frontier.append(row_column[i])
+        vector: list[polymat.Poly] = [{} for _ in range(n)]
+        vector[t] = {0: 1}
+        if block_rows:
+            columns = sorted(columns)
+            block = [[rows[i][c] for c in columns] for i in sorted(block_rows)]
+            piece = polymat.kernel_vector(polymat.bareiss_jordan(block, guard), guard)
+            for c, w in zip(columns, piece):
+                vector[c] = w
+        if not vector[t]:
+            return None
+        vectors.append(vector)
+    return vectors
+
+
 def reference_lefschetz_property(f: Form, prop: str,
                                  policy: RankPolicy | None = None) -> LefschetzReport:
     """``lefschetz_property`` as it was before it skipped sampling that

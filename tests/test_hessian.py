@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 
@@ -26,14 +27,14 @@ from wildforms.hessian import (
     mixed_hessian,
     multiplication_map_rank,
     seeded_points,
-    _closure_kernels,
+    _closure_kernel,
     _symbolic_rows,
 )
 from wildforms.linalg import matching, max_matching
 from wildforms.poly import LinearForm, form_sum, make_form, monomials, parse, power
 
 from helpers import (VAR_LETTERS, from_form, hessian_with_entries, random_form,
-                     random_linear, reference_evaluated_rank,
+                     random_linear, reference_closure_kernels, reference_evaluated_rank,
                      reference_integer_evaluated_rank, reference_lefschetz_property,
                      reference_mixed_hessian_entries,
                      reference_multiplication_map_rank, reference_symbolic_rows,
@@ -244,7 +245,13 @@ def _sparse_poly_matrices():
 
 
 class TestClosureRung:
-    """Kernel vectors read off the support matching, against full elimination."""
+    """The kernel vector read off the support matching, against full
+    elimination and against the earlier one-vector-per-column rung."""
+
+    @staticmethod
+    def _rows(hess):
+        rows, guard = _symbolic_rows(hess)
+        return rows, [{j for j, e in enumerate(row) if e} for row in rows], guard
 
     @pytest.mark.parametrize("spec,seed,k,l", [
         ("perazzo", 0, 1, 1), ("bb-cubic", 0, 1, 1), ("ikeda", 0, 2, 2),
@@ -254,10 +261,10 @@ class TestClosureRung:
     def test_value_matches_full_elimination(self, spec, seed, k, l):
         hess = mixed_hessian(build(spec, seed=seed).form, k, l)
         rep = generic_rank(hess, RankPolicy(max_symbolic_dim=16))
-        rows, guard = _symbolic_rows(hess)
-        support = [{j for j, e in enumerate(row) if e} for row in rows]
-        vectors = _closure_kernels(rows, support, guard)
-        assert vectors is not None and len(vectors) == hess.ncols - rep.support_bound
+        rows, support, guard = self._rows(hess)
+        vector = _closure_kernel(rows, support, guard)
+        assert vector is not None
+        assert vector == reference_closure_kernels(rows, support, guard)[0]
         assert (rep.certainty, rep.degenerate) == ("certified-symbolic", True)
         assert rep.value == rep.support_bound
         assert rep.value == polymat.bareiss_jordan(rows, guard).rank
@@ -267,8 +274,8 @@ class TestClosureRung:
                       ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
         guard = polymat.guard_mask(4)
         # column 2's closure is rows 0-1 on columns 0-2, singular on 0-1
-        assert _closure_kernels([[x, y, z], [x, y, {}]],
-                                [{0, 1, 2}, {0, 1}], guard) is None
+        assert _closure_kernel([[x, y, z], [x, y, {}]],
+                               [{0, 1, 2}, {0, 1}], guard) is None
         rows = [[x, y, z, {}], [x, y, {}, w], [{}, {}, {}, w], [{}, {}, {}, w]]
         entries = [[polymat.to_form(e, tuple("xyzw")) for e in row] for row in rows]
         hess = hessian_with_entries(parse("x^3", "xyzw"), 1, 1, entries)
@@ -287,22 +294,46 @@ class TestClosureRung:
         assert shapes == [(2, 3), (4, 4)]
         assert _annihilates(rows, [from_form(e, 1) for e in rep.kernel_witness])
 
+    def test_one_closure_block_per_report(self, monkeypatch):
+        """Hess^(2,2) of exceptional(3,5) leaves three columns free; one
+        closure block is eliminated (one per free column was three), and
+        the witness is the first of the earlier rung's vectors."""
+        hess = mixed_hessian(build("exceptional(3,5)", seed=1).form, 2, 2)
+        vectors = reference_closure_kernels(*self._rows(hess))
+        blocks = []
+        jordan = polymat.bareiss_jordan
+
+        def spy(block, g):
+            blocks.append(len(block))
+            return jordan(block, g)
+
+        monkeypatch.setattr(polymat, "bareiss_jordan", spy)
+        rep = generic_rank(hess, RankPolicy(max_symbolic_dim=16))
+        assert len(blocks) == 1
+        assert len(vectors) == hess.ncols - rep.support_bound == 3
+        content = math.gcd(*(c for w in vectors[0] for c in w.values()))
+        assert [from_form(w, content) for w in rep.kernel_witness] == vectors[0]
+
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(_sparse_poly_matrices())
-    def test_vectors_annihilate_and_are_independent(self, rows):
+    def test_vector_is_the_first_of_the_reference(self, rows):
         guard = polymat.guard_mask(2)
         support = [{j for j, e in enumerate(row) if e} for row in rows]
         nu = max_matching(support)
         assert polymat.bareiss_jordan(rows, guard).rank <= nu
-        vectors = _closure_kernels(rows, support, guard)
-        if vectors is None:
+        if nu == len(rows[0]):
+            return  # no unmatched column to read a vector at
+        vector = _closure_kernel(rows, support, guard)
+        vectors = reference_closure_kernels(rows, support, guard)
+        if vectors is not None:
+            assert vector == vectors[0]
+        if vector is None:
+            assert vectors is None
             return
         free = [t for t in range(len(rows[0])) if t not in matching(support)]
-        assert len(vectors) == len(free) == len(rows[0]) - nu
-        for t, vector in zip(free, vectors):
-            assert _annihilates(rows, vector)
-            assert vector[t]
-            assert not any(vector[u] for u in free if u != t)
+        assert _annihilates(rows, vector)
+        assert vector[free[0]]
+        assert not any(vector[u] for u in free[1:])
 
 
 def rational_form(rng: random.Random, nvars: int, degree: int):
@@ -667,8 +698,8 @@ class TestRankConsistency:
         assert checked >= 50
 
     def test_multiplication_matches_the_dense_solves(self):
-        """One ``nullspace`` call gives the ranks the per-monomial dense
-        solves gave, on seeded forms and an exceptional member."""
+        """The rank of the products' images is the rank the per-monomial
+        dense solves gave, on seeded forms and an exceptional member."""
         rng = random.Random(404)
         forms = [random_form(rng, nvars=rng.randint(2, 4), degree=rng.randint(2, 5))
                  for _ in range(10)]
@@ -682,8 +713,8 @@ class TestRankConsistency:
 
     def test_multiplication_eliminates_once(self, monkeypatch):
         """With the apolar bases at hand, the map of exceptional(3,5) from
-        degree 2 to 3 takes one ``nullspace`` pass and the rank of the
-        coordinates; a solve per basis monomial took 17 passes."""
+        degree 2 to 3 takes at most three elimination passes; a solve per
+        basis monomial took 17 passes."""
         f = build("exceptional(3,5)", seed=1).form
         L = LinearForm(f.variables, tuple(range(1, f.nvars + 1)))
         for degree in (2, 3):  # the bases' own eliminations are not the map's
@@ -699,21 +730,25 @@ class TestRankConsistency:
         assert multiplication_map_rank(f, L, 2, 3) == 14
         assert len(passes) <= 3
 
-    def test_product_outside_the_span_raises(self, monkeypatch):
-        """A product image independent of the degree-l images (here one
-        basis monomial is withheld) is an error, not a coordinate."""
-        f = parse("x^3 + y^3 + z^3 + x*y*z", "xyz")
+    def test_multiplication_reads_degree_k_only(self, monkeypatch):
+        """The rank is that of the products' images, so the map reads the
+        degree-k basis only and solves no ``nullspace``."""
+        f = build("exceptional(3,5)", seed=1).form
+        L = LinearForm(f.variables, tuple(range(1, f.nvars + 1)))
+        degrees = []
         real = apolar_basis
 
-        def short(form, degree):
-            basis = real(form, degree)
-            if degree == 2:
-                basis.monomials = basis.monomials[:-1]
-            return basis
+        def spy(form, degree):
+            degrees.append(degree)
+            return real(form, degree)
 
-        monkeypatch.setattr(hessian, "apolar_basis", short)
-        with pytest.raises(RuntimeError, match="left the span"):
-            multiplication_map_rank(f, LinearForm("xyz", (1, 2, 3)), 1, 2)
+        def refuse(vectors):
+            raise AssertionError("nullspace called")
+
+        monkeypatch.setattr(hessian, "apolar_basis", spy)
+        monkeypatch.setattr(linalg, "nullspace", refuse)
+        assert multiplication_map_rank(f, L, 2, 3) == 14
+        assert degrees == [2]
 
     def test_multiplication_guards(self):
         L = LinearForm("xyz", (1, 1, 1))

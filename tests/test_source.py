@@ -39,6 +39,48 @@ def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no
+    module of ``sources`` reads as a name, an attribute or an imported
+    name, as "module: name" in definition order."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {"a.py": ("_A = 1\n_B: int = 2\n__all__ = []\n"
+                        "def _f():\n    return _A\nclass _C:\n    pass\n"),
+               "b.py": ("from .a import _C\nimport a\nx = a._B\n_unused = 3\n"
+                        "def _g():\n    pass\ndef h():\n    pass\n")}
+    assert unread_private_names(sources) == ["a.py: _f", "b.py: _unused", "b.py: _g"]
+
+
+def test_every_private_name_is_read():
+    """Aim 2: private code that no module calls is deleted, not kept."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_private_names(sources) == []
+
+
 def float_uses(source: str) -> list[str]:
     """Float literals, reads of the name ``float`` and true divisions,
     as "line: what" in line order."""
