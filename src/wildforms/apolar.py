@@ -3,36 +3,36 @@
 The degree-k catalecticant of a degree-d form f maps degree-k
 differential operators to their derivatives of degree d-k.  Its rank is
 the k-th value of the Hilbert function of the apolar algebra, and its
-left kernel is the degree-k slice of the annihilator.  Slices are built
-from the form's terms, never by enumerating the monomial spaces, and
-each is computed once per form: ``catalecticant``, the only builder,
-keeps it on the Form object, so it lives exactly as long as the form.
-A request for a window of degrees 0..through (``hilbert`` asks for
-0..d/2 and mirrors the rest) builds every missing slice of the window
-from one pass over each term's divisors, with the exponent tuples of
-that pass interned, so a slice's columns share their tuples with
-another slice's rows; a single-degree request enumerates only that
-degree.  A slice links back to its form only weakly, so the form and
-its slices make no reference cycle and are freed by reference counting
-as soon as the form is dropped.  Every cell is an ``int``: a slice
-stores its entries times one ``denominator``, the lcm of the form's
-coefficient denominators, so ranks, basis rows, kernels and Hessian
-rows read the cells as they are.  A slice is eliminated only when its
-rank or basis rows are first read, and then once: that one exact
-elimination gives both, and ``apolar_basis`` reads the rows off the
-slice (see linalg for the details).  Slices read only for their
-images, such as a mixed Hessian's slice k+l, are never eliminated.  A
-kernel is read off the stored rows alone: a degree-k monomial with no
-stored row is a unit operator, and only the stored rows go through
-``linalg.nullspace``.
+left kernel is the degree-k slice of the annihilator.  Slices are never
+built by enumerating the monomial spaces, and each is computed once per
+form and kept on the Form object, so it lives exactly as long as the
+form.  Slice 0 is the form's terms, slice k+1 is slice k differentiated
+once, and a slice above d/2 asked for alone is slice d-k transposed and
+rescaled, so it never walks through the widest middle slices.  A
+request builds every missing slice from the highest cached one below
+it; a window 0..through (``hilbert`` asks for 0..d/2 and mirrors the
+rest) builds every missing slice of the window.  A slice links back to
+its form only weakly, so the form and its slices make no reference
+cycle and are freed by reference counting as soon as the form is
+dropped.  Every cell is an ``int``: a slice stores its entries times
+one ``denominator``, the lcm of the form's coefficient denominators, so
+ranks, basis rows, kernels and Hessian rows read the cells as they are.
+A slice is eliminated only when its rank or basis rows are first read,
+and then once: that one exact elimination gives both, and
+``apolar_basis`` reads the rows off the slice (see linalg for the
+details).  Slices read only for their images, such as a mixed
+Hessian's slice k+l, are never eliminated.  A kernel is read off the
+stored rows alone: a degree-k monomial with no stored row is a unit
+operator, and only the stored rows go through ``linalg.nullspace``.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, perm
+from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .poly import DiffOp, Exponent, Form, monomial, monomials
@@ -49,68 +49,17 @@ def require_analysis_form(f: object) -> Form:
     return f
 
 
-_ZERO = (0,)
-
-
-def _divisors(e: Exponent, lo: int, hi: int, scale: int
-              ) -> list[tuple[Exponent, Exponent, int, int]]:
-    """Every alpha <= e with lo <= |alpha| <= hi, as (alpha, e - alpha,
-    |alpha|, scale * prod perm(e_i, alpha_i)), for e of degree >= 1.
-
-    Each variable's choices are cut to those the remaining exponents can
-    still complete into the window, so no partial divisor is a dead end;
-    a zero exponent has the one choice 0.
-    """
-    partial: list[tuple[Exponent, Exponent, int, int]] = [((), (), 0, scale)]
-    rest = sum(e)
-    for ei in e:
-        if not ei:
-            partial = [(alpha + _ZERO, beta + _ZERO, size, factor)
-                       for alpha, beta, size, factor in partial]
-            continue
-        rest -= ei
-        partial = [(alpha + (a,), beta + (ei - a,), size + a, factor * perm(ei, a))
-                   for alpha, beta, size, factor in partial
-                   for a in range(max(0, lo - size - rest), min(ei, hi - size) + 1)]
-    return partial
-
-
-def _slice_images(form: Form, degrees: list[int], denominator: int
-                  ) -> dict[int, dict[Exponent, dict[Exponent, int]]]:
-    """Row alpha -> {column e - alpha: cell} of every slice in ``degrees``,
-    from one pass over each term's divisors of degree in their span; a
-    cell is its entry times ``denominator``.
-
-    Equal exponent tuples are interned across the pass, so rows of one
-    slice and columns of another share their tuples.
-    """
-    images: dict[int, dict[Exponent, dict[Exponent, int]]] = {k: {} for k in degrees}
-    shared: dict[Exponent, Exponent] = {}
-    intern = shared.setdefault
-    lo, hi = min(degrees), max(degrees)
-    for e, c in form.terms.items():
-        lifted = c.numerator * (denominator // c.denominator)
-        for alpha, beta, k, cell in _divisors(e, lo, hi, lifted):
-            image = images.get(k)
-            if image is None:
-                continue
-            row = image.get(alpha)
-            if row is None:
-                row = image[intern(alpha, alpha)] = {}
-            row[intern(beta, beta)] = cell
-    return images
-
-
 class CatalecticantSlice:
     """The degree-k differentiation map out of a fixed form.
 
-    Built from the terms: c*x^e puts c * prod perm(e_i, alpha_i) at row
-    alpha, column e - alpha, for each alpha <= e of degree k, and
-    distinct terms never share a cell.  Only the nonzero rows are kept,
-    graded-lex descending in ``row_monomials``; ``rows`` index their
-    columns into ``columns``, the nonzero columns, graded-lex descending.
-    Each cell is an ``int``, the entry times ``denominator``, one
-    positive scalar for the slice.  ``basis_rows`` are the greedy-first
+    Row alpha is alpha applied to the form: a term c*x^e puts c*e!/beta!
+    at row alpha, column beta = e - alpha, for each alpha <= e of degree
+    k, and distinct terms never share a cell.  Only the nonzero rows are
+    kept, graded-lex descending in ``row_monomials``; ``rows`` index
+    their columns into ``columns``, the nonzero columns, graded-lex
+    descending.  Each cell is an ``int``, the entry times
+    ``denominator``, one positive scalar for the slice; the builders hand
+    both lists over in that order.  ``basis_rows`` are the greedy-first
     independent rows in that order, and the rank is their count; both
     come from one elimination, run when either is first read.
 
@@ -120,21 +69,17 @@ class CatalecticantSlice:
     cycle, and a slice still answers every question without its form.
     """
 
-    def __init__(self, form: Form, k: int,
-                 images: dict[Exponent, dict[Exponent, int]], denominator: int):
+    def __init__(self, form: Form, k: int, row_monomials: list[Exponent],
+                 columns: list[Exponent], rows: list[dict[int, int]], denominator: int):
         self._form = weakref.ref(form)
         self.variables = form.variables
         self.degree = form.degree
         self.k = k
         self.denominator = denominator
-        self.columns: list[Exponent] = sorted(
-            {beta for image in images.values() for beta in image}, reverse=True)
-        col_index = {beta: j for j, beta in enumerate(self.columns)}
-        self.row_monomials: list[Exponent] = sorted(images, reverse=True)
-        self.row_index = {alpha: i for i, alpha in enumerate(self.row_monomials)}
-        self.rows: list[dict[int, int]] = [
-            {col_index[beta]: c for beta, c in images[alpha].items()}
-            for alpha in self.row_monomials]
+        self.row_monomials = row_monomials
+        self.row_index = {alpha: i for i, alpha in enumerate(row_monomials)}
+        self.columns = columns
+        self.rows = rows
 
     @cached_property
     def basis_rows(self) -> list[int]:
@@ -194,33 +139,95 @@ class CatalecticantSlice:
         return basis
 
 
+def _terms_slice(f: Form) -> CatalecticantSlice:
+    """Slice 0: one row, the terms, each lifted by the one denominator."""
+    denominator = lcm(*(c.denominator for c in f.terms.values()))
+    columns = sorted(f.terms, reverse=True)
+    where = {e: j for j, e in enumerate(columns)}
+    row = {where[e]: c.numerator * (denominator // c.denominator) for e, c in f.terms.items()}
+    return CatalecticantSlice(f, 0, [(0,) * f.nvars], columns, [row], denominator)
+
+
+def _step_up(f: Form, lower: CatalecticantSlice) -> CatalecticantSlice:
+    """Slice k+1 from slice k: row alpha+u_i is d/dx_i of row alpha, for
+    i up to alpha's first nonzero index, which gives each row one parent
+    and, with i outermost, graded-lex descending order.  Cell (alpha+u_i,
+    beta-u_i) is beta_i times cell (alpha, beta), so cells stay ints and
+    rows keep their parent's term order.  Each column's moves are found
+    once, and the columns they reach are the columns of slice k+1."""
+    parents = lower.row_monomials
+    moves: list[list] = [[None] * len(lower.columns) for _ in lower.variables]
+    for j, beta in enumerate(lower.columns):
+        for i, b in enumerate(beta):
+            if b:
+                moves[i][j] = (beta[:i] + (b - 1,) + beta[i + 1:], b)
+    columns = sorted({m[0] for line in moves for m in line if m}, reverse=True)
+    where = {gamma: j for j, gamma in enumerate(columns)}
+    lead = [next((i for i, a in enumerate(alpha) if a), len(alpha)) for alpha in parents]
+    row_monomials, rows = [], []
+    for i, line in enumerate(moves):
+        step = [m and (where[m[0]], m[1]) for m in line]
+        start = bisect_left(lead, i)
+        for alpha, row in zip(parents[start:], lower.rows[start:]):
+            image = {m[0]: m[1] * c for j, c in row.items() if (m := step[j])}
+            if image:
+                row_monomials.append(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:])
+                rows.append(image)
+    return CatalecticantSlice(f, lower.k + 1, row_monomials, columns, rows, lower.denominator)
+
+
+def _mirror(f: Form, lower: CatalecticantSlice) -> CatalecticantSlice:
+    """Slice d-k from slice k: its rows are slice k's columns and its
+    columns slice k's rows.  Cell (beta, alpha) is c*e!/alpha!, so it is
+    cell (alpha, beta) times beta!/alpha!, an exact division."""
+    scale = [prod(map(factorial, beta)) for beta in lower.columns]
+    rows: list[dict[int, int]] = [{} for _ in lower.columns]
+    for t, (alpha, row) in enumerate(zip(lower.row_monomials, lower.rows)):
+        down = prod(map(factorial, alpha))
+        for j, c in row.items():
+            rows[j][t] = c * scale[j] // down
+    return CatalecticantSlice(f, f.degree - lower.k, lower.columns, lower.row_monomials,
+                              rows, lower.denominator)
+
+
+def _slice(f: Form, slices: dict[int, CatalecticantSlice], k: int) -> CatalecticantSlice:
+    """Slice k from the cache, else built and cached with what it needs:
+    an upper slice is slice d-k mirrored, and any other steps up from the
+    highest cached slice below it, caching each slice on the way."""
+    slice_ = slices.get(k)
+    if slice_ is None:
+        if 2 * k > f.degree:
+            slice_ = slices[k] = _mirror(f, _slice(f, slices, f.degree - k))
+        else:
+            if 0 not in slices:
+                slices[0] = _terms_slice(f)
+            slice_ = slices[max(j for j in slices if j <= k)]
+            while slice_.k < k:
+                slice_ = _step_up(f, slice_)
+                slices[slice_.k] = slice_
+    return slice_
+
+
 def catalecticant(f: Form, k: int, through: int | None = None) -> CatalecticantSlice:
     """The degree-k slice of f, built on first use and kept on the form.
 
-    The only place slices are built.  With ``through``, a miss builds
-    every missing slice of degrees 0..through (k among them) in one pass
-    over the terms' divisors; without it, only slice k.
+    A miss builds slice k by ``_slice``, after every missing slice of
+    degrees 0..through when ``through`` is given.  The degrees are checked
+    before the cache is read, so a bad request fails whatever is cached.
     """
     require_analysis_form(f)
+    if not 0 <= k <= f.degree:
+        raise ValueError(f"slice degree {k} outside 0..{f.degree}")
+    if through is not None and not k <= through <= f.degree:
+        raise ValueError(f"window 0..{through} must hold {k} and lie in 0..{f.degree}")
     slices = f._slices
     if slices is None:
         slices = f._slices = {}
     slice_ = slices.get(k)
     if slice_ is None:
-        if not 0 <= k <= f.degree:
-            raise ValueError(f"slice degree {k} outside 0..{f.degree}")
-        if through is None:
-            degrees = [k]
-        elif k <= through <= f.degree:
-            degrees = [j for j in range(through + 1) if j not in slices]
-        else:
-            raise ValueError(f"window 0..{through} must hold {k} and lie in 0..{f.degree}")
-        denominator = (next(iter(slices.values())).denominator if slices
-                       else lcm(*(c.denominator for c in f.terms.values())))
-        images = _slice_images(f, degrees, denominator)
-        for j in degrees:
-            slices[j] = CatalecticantSlice(f, j, images.pop(j), denominator)
-        slice_ = slices[k]
+        for j in range(0 if through is None else through + 1):
+            _slice(f, slices, j)
+        slice_ = _slice(f, slices, k)
     return slice_
 
 
@@ -244,7 +251,8 @@ def hilbert(f: Form) -> HilbertFunction:
     transposed, with each row beta scaled by beta! and each column alpha
     by 1/alpha!: invertible diagonals, which keep the rank.  Hence
     h_{d-k} = h_k, the Gorenstein symmetry of the apolar algebra, and
-    the upper half is the lower half mirrored.
+    the upper half is the lower half mirrored; the same transpose is how
+    an upper slice asked for alone is built.
     """
     require_analysis_form(f)
     d = f.degree

@@ -144,6 +144,58 @@ def reference_divisors(e, k: int) -> list[tuple[tuple, int]]:
     return [(alpha, factor) for alpha, _, factor in partial]
 
 
+_ZERO = (0,)
+
+
+def reference_window_divisors(e, lo: int, hi: int, scale: int) -> list[tuple]:
+    """Every alpha <= e with lo <= |alpha| <= hi, as (alpha, e - alpha,
+    |alpha|, scale * prod perm(e_i, alpha_i)), for e of degree >= 1.
+
+    Each variable's choices are cut to those the remaining exponents can
+    still complete into the window, so no partial divisor is a dead end;
+    a zero exponent has the one choice 0.  The enumerator a whole window
+    of slices was built from, before each slice was built from its
+    neighbour.
+    """
+    partial: list[tuple] = [((), (), 0, scale)]
+    rest = sum(e)
+    for ei in e:
+        if not ei:
+            partial = [(alpha + _ZERO, beta + _ZERO, size, factor)
+                       for alpha, beta, size, factor in partial]
+            continue
+        rest -= ei
+        partial = [(alpha + (a,), beta + (ei - a,), size + a, factor * math.perm(ei, a))
+                   for alpha, beta, size, factor in partial
+                   for a in range(max(0, lo - size - rest), min(ei, hi - size) + 1)]
+    return partial
+
+
+def reference_slice_images(form: Form, degrees: list[int], denominator: int) -> dict:
+    """Row alpha -> {column e - alpha: cell} of every slice in ``degrees``,
+    from one pass over each term's divisors of degree in their span; a
+    cell is its entry times ``denominator``.
+
+    Equal exponent tuples are interned across the pass, so rows of one
+    slice and columns of another share their tuples.
+    """
+    images: dict[int, dict] = {k: {} for k in degrees}
+    shared: dict = {}
+    intern = shared.setdefault
+    lo, hi = min(degrees), max(degrees)
+    for e, c in form.terms.items():
+        lifted = c.numerator * (denominator // c.denominator)
+        for alpha, beta, k, cell in reference_window_divisors(e, lo, hi, lifted):
+            image = images.get(k)
+            if image is None:
+                continue
+            row = image.get(alpha)
+            if row is None:
+                row = image[intern(alpha, alpha)] = {}
+            row[intern(beta, beta)] = cell
+    return images
+
+
 def reference_conciseness(f: Form) -> int:
     """Largest admissible k with maximal growth through degree k, by
     re-checking every degree j <= k for each k."""
@@ -264,11 +316,13 @@ def hessian_with_entries(form: Form, k: int, l: int, entries) -> MixedHessian:
     """
     denominator = math.lcm(*(c.denominator for row in entries for entry in row
                              if entry is not None for c in entry.terms.values()))
-    images = CatalecticantSlice(form, k + l, {
-        (i, j): {e: c.numerator * (denominator // c.denominator)
-                 for e, c in entry.terms.items()}
-        for i, row in enumerate(entries) for j, entry in enumerate(row)
-        if entry is not None}, denominator)
+    keys = sorted(((i, j) for i, row in enumerate(entries) for j, entry in enumerate(row)
+                   if entry is not None), reverse=True)
+    columns = sorted({e for i, j in keys for e in entries[i][j].terms}, reverse=True)
+    where = {e: t for t, e in enumerate(columns)}
+    images = CatalecticantSlice(form, k + l, keys, columns, [
+        {where[e]: c.numerator * (denominator // c.denominator)
+         for e, c in entries[i][j].terms.items()} for i, j in keys], denominator)
     cells = [[None if entry is None else images.row_index[i, j]
               for j, entry in enumerate(row)] for i, row in enumerate(entries)]
     return MixedHessian(form, k, l, None, None, cells, images)

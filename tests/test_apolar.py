@@ -35,7 +35,8 @@ from helpers import (binary_round0_forms, oracle_hilbert, random_form,
                      random_linear, reference_catalecticant, reference_conciseness,
                      reference_dense_nullspace, reference_divisors,
                      reference_greedy_independent, reference_kernel_basis,
-                     reference_nullspace)
+                     reference_nullspace, reference_slice_images,
+                     reference_window_divisors)
 
 
 class TestHilbertFrozenValues:
@@ -418,7 +419,8 @@ def _window_corpus() -> list[Form]:
 
 
 class TestWindowedBuild:
-    """One pass per window of degrees against the per-degree definition."""
+    """Slices built by steps, mirrors and windows, in any order, against
+    the definition and the divisor enumerator they replaced."""
 
     def test_build_orders_agree_with_definition(self):
         for f in _window_corpus():
@@ -432,7 +434,10 @@ class TestWindowedBuild:
             single = _fresh(f)
             for k in range(d + 1):
                 catalecticant(single, k)
-            for g in (whole, split, single):
+            downward = _fresh(f)
+            for k in range(d, -1, -1):
+                catalecticant(downward, k)
+            for g in (whole, split, single, downward):
                 for k in range(d + 1):
                     _assert_slice_is_definition(g, k)
 
@@ -443,7 +448,7 @@ class TestWindowedBuild:
            st.sampled_from([1, -3, Fraction(2, 5)]))
     def test_divisors_of_a_window(self, case, scale):
         e, lo, hi = case
-        got = apolar._divisors(e, lo, hi, scale)
+        got = reference_window_divisors(e, lo, hi, scale)
         want = []
         for alpha in itertools.product(*(range(ei + 1) for ei in e)):
             if lo <= sum(alpha) <= hi:
@@ -454,13 +459,46 @@ class TestWindowedBuild:
             assert sorted((alpha, cell) for alpha, _, size, cell in got if size == k) \
                 == sorted((alpha, scale * factor) for alpha, factor in reference_divisors(e, k))
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 8).flatmap(
+        lambda d: st.dictionaries(
+            st.sampled_from(monomials(n, d)),
+            st.one_of(st.integers(-30, 30), st.fractions(
+                min_value=-5, max_value=5, max_denominator=12)).filter(bool),
+            min_size=1, max_size=25).map(lambda terms: Form("abcde"[:n], d, terms)))))
+    def test_every_slice_matches_the_divisor_images(self, f):
+        """Every slice 0..d, lower ones stepped up and upper ones
+        mirrored, against the images of the divisor enumerator: the same
+        rows and columns in the same order, and the same cells.  A
+        stepped row also keeps the term order the enumerator gave it."""
+        d = f.degree
+        denominator = math.lcm(*(c.denominator for c in f.terms.values()))
+        images = reference_slice_images(f, list(range(d + 1)), denominator)
+        for k in range(d + 1):
+            s = catalecticant(f, k)
+            want = images[k]
+            assert s.denominator == denominator
+            assert s.row_monomials == sorted(want, reverse=True)
+            assert s.columns == sorted({beta for row in want.values() for beta in row},
+                                       reverse=True)
+            for alpha, row in zip(s.row_monomials, s.rows):
+                got = [(s.columns[j], c) for j, c in row.items()]
+                assert dict(got) == want[alpha]
+                if 2 * k <= d:
+                    assert got == list(want[alpha].items())
+
     def test_window_must_hold_the_degree(self):
         f = parse("x^3*y + y^4", "xy")
         with pytest.raises(ValueError):
             catalecticant(f, 3, through=2)
         with pytest.raises(ValueError):
             catalecticant(f, 1, through=5)
-        assert f._slices == {}
+        assert not f._slices
+        catalecticant(f, 3)
+        with pytest.raises(ValueError):
+            catalecticant(f, 3, through=2)
+        with pytest.raises(ValueError):
+            catalecticant(f, 3, through=5)
 
 
 class TestSliceBuilds:
@@ -475,9 +513,9 @@ class TestSliceBuilds:
         real = apolar.catalecticant
 
         class Counted(CatalecticantSlice):
-            def __init__(self, form, k, images, denominator):
+            def __init__(self, form, k, *parts):
                 built.append((len(calls), k))
-                super().__init__(form, k, images, denominator)
+                super().__init__(form, k, *parts)
 
         def counted(f, k, through=None):
             calls.append(k)
@@ -497,14 +535,29 @@ class TestSliceBuilds:
         hilbert(f)
         assert len(built) == half + 1
 
-    def test_one_slice_request_builds_one_slice(self, builds):
+    def test_lower_slice_request_builds_its_chain(self, builds):
         built, _ = builds
         f = parse(self.TEXT, "xyz")
         apolar.catalecticant(f, 1)
-        assert built == [(1, 1)]
+        assert built == [(1, 0), (1, 1)]
         hilbert(f)
         assert sorted(k for _, k in built) == list(range(f.degree // 2 + 1))
-        assert {call for call, k in built if k != 1} == {2}
+        assert built[2:] == [(4, 2)]
+
+    def test_chain_resumes_from_the_highest_cached_slice(self, builds):
+        built, _ = builds
+        f = parse("x^7 + 3*x^2*y^5 - y^7 + x*y^3*z^3", "xyz")
+        apolar.catalecticant(f, 1)
+        apolar.catalecticant(f, 3)
+        assert built == [(1, 0), (1, 1), (2, 2), (2, 3)]
+
+    def test_upper_slice_mirrors_its_partner_chain(self, builds):
+        built, calls = builds
+        for j in (3, 4):
+            del built[:], calls[:]
+            f = parse(self.TEXT, "xyz")
+            apolar.catalecticant(f, j)
+            assert built == [(1, k) for k in range(f.degree - j + 1)] + [(1, j)]
 
     def test_upper_slice_built_alone_when_asked(self, builds):
         built, calls = builds
@@ -554,7 +607,7 @@ class TestSliceEliminations:
     def test_mixed_hessian_eliminates_only_its_bases(self, eliminated):
         f = parse(TestSliceBuilds.TEXT, "xyz")
         mixed_hessian(f, 1, 2)
-        assert sorted(f._slices) == [1, 2, 3]
+        assert sorted(f._slices) == [0, 1, 2, 3]
         assert len(eliminated) == 2
         assert eliminated[0] is f._slices[1].rows and eliminated[1] is f._slices[2].rows
 

@@ -5,7 +5,10 @@
 workload reports their self times.  A refactor that stopped calling
 either through those names would leave the metrics reading zero
 without failing anything else, so one traced ``binary-rank`` job must
-reach both.
+reach both.  The tracer also counts the calls through
+``apolar.catalecticant`` and the cells of the slices they return, so a
+slice built on the way to another (a chain step, a mirror's partner)
+must not pass through that name.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import io
 
+from wildforms import apolar, hessian
 from wildforms.cli import main
+from wildforms.poly import parse
 
 from helpers import bench_module
 
@@ -28,3 +33,16 @@ def test_binary_rank_job_reaches_kernel_layers():
     assert tracer.calls.get("powersum.binary_waring_rank", 0) == 1
     assert tracer.calls.get("apolar.kernel_basis", 0) >= 1
     assert tracer.calls.get("linalg.nullspace", 0) >= 1
+
+
+def test_chained_and_mirrored_builds_add_no_catalecticant_calls():
+    tracer = bench_module("tracer").Tracer()
+    f = parse("x^3*y + 2*y^2*z^2 - z^4 + x*y*z^2", "xyz")
+    with tracer:
+        top = apolar.catalecticant(f, 4)      # slice 0, mirrored
+        middle = apolar.catalecticant(f, 2)   # slices 1 and 2, stepped up
+        hessian.mixed_hessian(f, 1, 2)        # slice 3, mirrored from slice 1
+    assert sorted(f._slices) == [0, 1, 2, 3, 4]
+    assert tracer.calls["apolar.catalecticant"] == 5
+    returned = (top, middle, f._slices[1], f._slices[2], f._slices[3])
+    assert tracer.counts["apolar.slice.cells"] == sum(s.nrows * s.ncols for s in returned)
