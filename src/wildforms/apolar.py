@@ -10,13 +10,14 @@ form.  Slice 0 is the form's terms, slice k+1 is slice k differentiated
 once, and a slice above d/2 asked for alone is slice d-k transposed and
 rescaled, so it never walks through the widest middle slices.  A
 request builds every missing slice from the highest cached one below
-it; a window 0..through (``hilbert`` asks for 0..d/2 and mirrors the
-rest) builds every missing slice of the window.  A slice links back to
-its form only weakly, so the form and its slices make no reference
-cycle and are freed by reference counting as soon as the form is
-dropped.  Every cell is an ``int``: a slice stores its entries times
-one ``denominator``, the lcm of the form's coefficient denominators, so
-ranks, basis rows, kernels and Hessian rows read the cells as they are.
+it.  Hilbert growth (``maximal_hilbert_through``, ``conciseness``) is
+read by one scan up from degree 1 that stops at the first shortfall.
+A slice links back to its form only weakly, so the form and its slices
+make no reference cycle and are freed by reference counting as soon as
+the form is dropped.  Every cell is an ``int``: a slice stores its
+entries times one ``denominator``, the lcm of the form's coefficient
+denominators, so ranks, basis rows, kernels and Hessian rows read the
+cells as they are.
 A slice is eliminated only when its rank or basis rows are first read,
 and then once: that one exact elimination gives both, and
 ``apolar_basis`` reads the rows off the slice (see linalg for the
@@ -208,27 +209,17 @@ def _slice(f: Form, slices: dict[int, CatalecticantSlice], k: int) -> Catalectic
     return slice_
 
 
-def catalecticant(f: Form, k: int, through: int | None = None) -> CatalecticantSlice:
-    """The degree-k slice of f, built on first use and kept on the form.
-
-    A miss builds slice k by ``_slice``, after every missing slice of
-    degrees 0..through when ``through`` is given.  The degrees are checked
-    before the cache is read, so a bad request fails whatever is cached.
+def catalecticant(f: Form, k: int) -> CatalecticantSlice:
+    """The degree-k slice of f, built by ``_slice`` on first use and kept
+    on the form.  The degree is checked before the cache is read or
+    created, so a bad request fails whatever is cached.
     """
     require_analysis_form(f)
     if not 0 <= k <= f.degree:
         raise ValueError(f"slice degree {k} outside 0..{f.degree}")
-    if through is not None and not k <= through <= f.degree:
-        raise ValueError(f"window 0..{through} must hold {k} and lie in 0..{f.degree}")
-    slices = f._slices
-    if slices is None:
-        slices = f._slices = {}
-    slice_ = slices.get(k)
-    if slice_ is None:
-        for j in range(0 if through is None else through + 1):
-            _slice(f, slices, j)
-        slice_ = _slice(f, slices, k)
-    return slice_
+    if f._slices is None:
+        f._slices = {}
+    return _slice(f, f._slices, k)
 
 
 class HilbertFunction(tuple):
@@ -256,7 +247,7 @@ def hilbert(f: Form) -> HilbertFunction:
     """
     require_analysis_form(f)
     d = f.degree
-    half = [catalecticant(f, k, through=d // 2).rank for k in range(d // 2 + 1)]
+    half = [catalecticant(f, k).rank for k in range(d // 2 + 1)]
     return HilbertFunction(half + half[:(d + 1) // 2][::-1])
 
 
@@ -274,14 +265,26 @@ def is_unimodal(values) -> bool:
     return True
 
 
+def _growth(f: Form, last: int) -> int:
+    """Largest k <= last with a_j = dim Q_j for every j <= k.
+
+    One scan up from degree 1, stopping at the first shortfall.  Slice 0
+    of a nonzero form is one nonzero row, so a_0 = 1 and it is never read.
+    """
+    n = f.nvars
+    for k in range(1, last + 1):
+        if catalecticant(f, k).rank != comb(n - 1 + k, k):
+            return k - 1
+    return last
+
+
 def maximal_hilbert_through(f: Form, k: int) -> bool:
-    """Whether a_j equals dim Q_j for every j <= k."""
+    """Whether a_j equals dim Q_j for every j <= k; False past d, where
+    a_j = 0."""
     require_analysis_form(f)
     if k < 0:
         raise ValueError("negative degree")
-    n = f.nvars
-    return all(catalecticant(f, j, through=k).rank == comb(n - 1 + j, j)
-               for j in range(k, -1, -1))
+    return _growth(f, min(k, f.degree)) == k
 
 
 def is_k_concise(f: Form, k: int) -> bool:
@@ -296,21 +299,9 @@ def is_k_concise(f: Form, k: int) -> bool:
 
 
 def conciseness(f: Form) -> int:
-    """Largest admissible k with maximal growth through degree k.
-
-    One upward scan: degree 0, then each admissible k once, stopping at
-    the first k whose slice rank falls short of dim Q_k.
-    """
+    """Largest admissible k (2k+1 <= d) with maximal growth through degree k."""
     require_analysis_form(f)
-    n, last = f.nvars, (f.degree - 1) // 2
-    if last < 1 or catalecticant(f, 0, through=last).rank != 1:
-        return 0
-    best = 0
-    for k in range(1, last + 1):
-        if catalecticant(f, k, through=last).rank != comb(n - 1 + k, k):
-            break
-        best = k
-    return best
+    return _growth(f, (f.degree - 1) // 2)
 
 
 class ApolarBasis:

@@ -227,7 +227,7 @@ def _cmd_hessian(args) -> int:
 def _cmd_lefschetz(args) -> int:
     f, strategy = _resolve_input(args)
     prop = "wlp" if args.wlp else "slp"
-    if args.element:
+    if args.element is not None:
         try:
             coeffs = tuple(Fraction(tok.strip())
                            for tok in args.element.split(","))

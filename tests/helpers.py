@@ -21,7 +21,7 @@ import sympy
 
 from wildforms import linalg, polymat
 from wildforms.apolar import (CatalecticantSlice, apolar_basis, catalecticant,
-                             maximal_hilbert_through, require_analysis_form)
+                             require_analysis_form)
 from wildforms.hessian import (LefschetzReport, MixedHessian, RankPolicy,
                                _criterion_maps, evaluated_rank, generic_rank,
                                hessian_determinant, mixed_hessian, seeded_points)
@@ -196,12 +196,26 @@ def reference_slice_images(form: Form, degrees: list[int], denominator: int) -> 
     return images
 
 
+def reference_growth(f: Form, k: int) -> bool:
+    """Whether a_j = dim Q_j for every j <= k, each a_j the rank of the
+    defining catalecticant (zero rows included) by one dense Bareiss
+    pass; a_j = 0 past the degree."""
+    for j in range(k + 1):
+        if j > f.degree:
+            return False
+        _, col_monos, rows = reference_catalecticant(f, j)
+        dense = [[row.get(c, 0) for c in range(len(col_monos))] for row in rows]
+        if reference_rank(dense) != len(rows):
+            return False
+    return True
+
+
 def reference_conciseness(f: Form) -> int:
     """Largest admissible k with maximal growth through degree k, by
     re-checking every degree j <= k for each k."""
     best = 0
     for k in range(1, (f.degree - 1) // 2 + 1):
-        if not maximal_hilbert_through(f, k):
+        if not reference_growth(f, k):
             break
         best = k
     return best

@@ -34,7 +34,8 @@ from wildforms.poly import (Form, LinearForm, apply, constant, monomial, monomia
 from helpers import (binary_round0_forms, oracle_hilbert, random_form,
                      random_linear, reference_catalecticant, reference_conciseness,
                      reference_dense_nullspace, reference_divisors,
-                     reference_greedy_independent, reference_kernel_basis,
+                     reference_greedy_independent, reference_growth,
+                     reference_kernel_basis,
                      reference_nullspace, reference_slice_images,
                      reference_window_divisors)
 
@@ -176,6 +177,16 @@ class TestConciseness:
         f = build("ikeda").form
         assert maximal_hilbert_through(f, 2)
         assert not maximal_hilbert_through(f, 3)
+
+    def test_growth_past_the_degree_fails(self):
+        # a_{d+1} = 0 falls short of dim Q_{d+1}, in any number of variables
+        f = parse("x^3*y + y^4", "xy")
+        assert not maximal_hilbert_through(f, 4)
+        assert not maximal_hilbert_through(f, 5)
+        g = parse("x^4", "x")
+        assert all(maximal_hilbert_through(g, k) for k in range(5))
+        assert not maximal_hilbert_through(g, 5)
+        assert not maximal_hilbert_through(g, 9)
 
 
 class TestApolarBasis:
@@ -419,8 +430,8 @@ def _window_corpus() -> list[Form]:
 
 
 class TestWindowedBuild:
-    """Slices built by steps, mirrors and windows, in any order, against
-    the definition and the divisor enumerator they replaced."""
+    """Slices built by steps, mirrors and growth scans, in any order,
+    against the definition and the divisor enumerator they replaced."""
 
     def test_build_orders_agree_with_definition(self):
         for f in _window_corpus():
@@ -488,17 +499,18 @@ class TestWindowedBuild:
                     assert got == list(want[alpha].items())
 
     def test_window_must_hold_the_degree(self):
+        """A degree outside 0..d is refused before the cache is read or
+        created, even when the cache holds an entry under that key."""
         f = parse("x^3*y + y^4", "xy")
-        with pytest.raises(ValueError):
-            catalecticant(f, 3, through=2)
-        with pytest.raises(ValueError):
-            catalecticant(f, 1, through=5)
-        assert not f._slices
-        catalecticant(f, 3)
-        with pytest.raises(ValueError):
-            catalecticant(f, 3, through=2)
-        with pytest.raises(ValueError):
-            catalecticant(f, 3, through=5)
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                catalecticant(f, k)
+        assert f._slices is None
+        cached = catalecticant(f, 3)
+        f._slices[-1] = f._slices[5] = cached
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                catalecticant(f, k)
 
 
 class TestSliceBuilds:
@@ -517,9 +529,9 @@ class TestSliceBuilds:
                 built.append((len(calls), k))
                 super().__init__(form, k, *parts)
 
-        def counted(f, k, through=None):
+        def counted(f, k):
             calls.append(k)
-            return real(f, k, through)
+            return real(f, k)
 
         monkeypatch.setattr(apolar, "CatalecticantSlice", Counted)
         monkeypatch.setattr(apolar, "catalecticant", counted)
@@ -530,8 +542,8 @@ class TestSliceBuilds:
         f = parse(self.TEXT, "xyz")
         hilbert(f)
         half = f.degree // 2
-        assert built == [(1, k) for k in range(half + 1)]
-        assert len(calls) == half + 1
+        assert built == [(k + 1, k) for k in range(half + 1)]
+        assert calls == list(range(half + 1))
         hilbert(f)
         assert len(built) == half + 1
 
@@ -570,10 +582,11 @@ class TestSliceBuilds:
         assert len(built) == f.degree + 1
 
     def test_growth_check_builds_its_window(self, builds):
-        built, _ = builds
+        built, calls = builds
         f = parse(self.TEXT, "xyz")
-        maximal_hilbert_through(f, 2)
-        assert built == [(1, 0), (1, 1), (1, 2)]
+        assert maximal_hilbert_through(f, 2)
+        assert calls == [1, 2]
+        assert built == [(1, 0), (1, 1), (2, 2)]
 
     def test_conciseness_looks_each_degree_up_once(self, builds):
         _, calls = builds
@@ -581,11 +594,26 @@ class TestSliceBuilds:
         hilbert(f)
         del calls[:]
         assert conciseness(f) == 20
-        assert calls == list(range(21))
+        assert calls == list(range(1, 21))
+
+    def test_conciseness_stops_at_the_first_shortfall(self, builds):
+        built, calls = builds
+        f = parse("x^5 + y^5", "xyz")
+        assert conciseness(f) == 0
+        assert calls == [1]
+        assert built == [(1, 0), (1, 1)]
 
     def test_conciseness_matches_the_repeated_scan(self):
         for f in _window_corpus():
             assert conciseness(_fresh(f)) == reference_conciseness(_fresh(f))
+
+    def test_growth_matches_the_dense_reference(self):
+        for f in _window_corpus():
+            want = True
+            for k in range(f.degree + 2):
+                # growth through k needs growth through k - 1
+                want = want and reference_growth(f, k)
+                assert maximal_hilbert_through(_fresh(f), k) == want, (f, k)
 
 
 class TestSliceEliminations:

@@ -385,6 +385,14 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error:") and "n >= 2" in err
 
+    def test_empty_element(self, capsys):
+        # an empty element is a bad element, not a request to sample one
+        code, out, err = run(capsys, "lefschetz", "--family", "ikeda", "--wlp",
+                             "--element", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bad_partition(self, capsys):
         base = ["bounds", "--poly", "x*u^2 + y*u*v + z*v^2",
                 "--vars", "x,y,z,u,v"]

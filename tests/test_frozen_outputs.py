@@ -24,7 +24,9 @@ full rank or settled by the support matching, are pinned by
 monomial-spread(3,4).  The family
 listing, a member built as a product of forms, a chunk-plus-powers sum
 whose parts ``bounds`` adds up again, and polynomial text whose terms
-cancel and come back pin the form arithmetic.
+cancel and come back pin the form arithmetic.  Two forms whose Hilbert
+growth fails at degree 1 and at the top admissible degree pin the
+conciseness scan.
 
 The digests were written by the program of commit ee53730 (the first
 two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
@@ -55,8 +57,10 @@ times the sheared perazzo cubic by commit a307862, whose slices still
 held Fraction cells for rational forms and whose slice-rank criterion
 built its own coefficient matrix, and ``analyze`` and ``hilbert`` of
 monomial-spread(3,4) by commit f4f0433, which eliminated every slice
-component of two or more rows and columns by Bareiss), from the root
-of its checkout with this file copied in:
+component of two or more rows and columns by Bareiss, and ``hilbert``
+and ``analyze`` of x^5 + y^5 over x, y, z and of x^5 + y^5 + z^5 by
+commit ce61225, whose growth checks still asked for a window of
+slices), from the root of its checkout with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -169,6 +173,12 @@ COMMANDS = [
     # the support matching; about 9 s each when Bareiss eliminated them
     ("analyze", "--family", "monomial-spread(3,4)"),
     ("hilbert", "--family", "monomial-spread(3,4)"),
+    # Hilbert growth fails at degree 1 (z is missing), and falls short at
+    # the top admissible degree 2 (conciseness 1)
+    ("hilbert", "--poly", "x^5 + y^5", "--vars", "x,y,z"),
+    ("analyze", "--poly", "x^5 + y^5", "--vars", "x,y,z"),
+    ("hilbert", "--poly", "x^5 + y^5 + z^5", "--vars", "x,y,z"),
+    ("analyze", "--poly", "x^5 + y^5 + z^5", "--vars", "x,y,z"),
 ]
 
 
