@@ -21,8 +21,11 @@ cells as they are.
 A slice is eliminated only when its rank or basis rows are first read,
 and then once: that one exact elimination gives both, and
 ``apolar_basis`` reads the rows off the slice (see linalg for the
-details).  Slices read only for their images, such as a mixed
-Hessian's slice k+l, are never eliminated.  A kernel is read off the
+details).  The basis rows form an order ideal: row gamma is d/dx_i of
+row gamma-u_i, so if gamma-u_i depends on earlier rows, so does gamma
+(graded lex is a monomial order), and once slice k-1 has its basis,
+slice k eliminates only its other rows.  Slices read only for their
+images, such as a mixed Hessian's slice k+l, are never eliminated.  A kernel is read off the
 stored rows alone: a degree-k monomial with no stored row is a unit
 operator, and only the stored rows go through ``linalg.nullspace``.
 """
@@ -62,7 +65,8 @@ class CatalecticantSlice:
     ``denominator``, one positive scalar for the slice; the builders hand
     both lists over in that order.  ``basis_rows`` are the greedy-first
     independent rows in that order, and the rank is their count; both
-    come from one elimination, run when either is first read.
+    come from one elimination, run when either is first read, of the
+    rows not x_i times a dependent row of slice k-1, once that basis is known.
 
     The slice keeps the form's ``variables`` and ``degree`` and holds
     the form itself only through a weak reference (``form`` is None once
@@ -84,8 +88,20 @@ class CatalecticantSlice:
 
     @cached_property
     def basis_rows(self) -> list[int]:
-        """Indices of the greedy-first independent rows, eliminated on first read."""
-        return linalg.greedy_independent(self.rows)
+        """Indices of the greedy-first independent rows, eliminated on first
+        read, without the rows x_i times a dependent row of the form's
+        slice k-1 when that slice has its basis (module docstring)."""
+        below = (getattr(self.form, "_slices", None) or {}).get(self.k - 1)
+        if below is None or "basis_rows" not in vars(below) \
+                or len(below.basis_rows) == len(below.rows):
+            return linalg.greedy_independent(self.rows)
+        kept = set(below.basis_rows)
+        out = {delta[:i] + (delta[i] + 1,) + delta[i + 1:]
+               for t, delta in enumerate(below.row_monomials) if t not in kept
+               for i in range(len(delta))}
+        candidates = [t for t, gamma in enumerate(self.row_monomials) if gamma not in out]
+        found = linalg.greedy_independent([self.rows[t] for t in candidates])
+        return [candidates[t] for t in found]
 
     @cached_property
     def rank(self) -> int:

@@ -228,13 +228,16 @@ def _cmd_lefschetz(args) -> int:
     f, strategy = _resolve_input(args)
     prop = "wlp" if args.wlp else "slp"
     if args.element is not None:
-        try:
-            coeffs = tuple(Fraction(tok.strip())
-                           for tok in args.element.split(","))
-        except ZeroDivisionError:
-            raise ValueError(f"--element {args.element!r} divides by zero") from None
+        coeffs = []
+        for tok in map(str.strip, args.element.split(",")):
+            try:
+                coeffs.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"--element {args.element!r}: coefficient {tok!r} "
+                                 "is not a number") from None
         if len(coeffs) != f.nvars:
-            raise ValueError(f"the element needs {f.nvars} coefficients")
+            raise ValueError(f"--element {args.element!r} needs {f.nvars} coefficients, "
+                             f"found {len(coeffs)}")
         report = lefschetz_check(f, LinearForm(f.variables, coeffs), prop)
     else:
         report = lefschetz_property(f, prop, strategy.policy)

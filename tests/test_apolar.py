@@ -28,8 +28,8 @@ from wildforms import linalg
 from wildforms.families import build
 from wildforms.hessian import mixed_hessian
 from wildforms.powersum import binary_waring_rank
-from wildforms.poly import (Form, LinearForm, apply, constant, monomial, monomials,
-                            multiply, parse, power)
+from wildforms.poly import (Form, LinearForm, apply, constant, form_sum, monomial,
+                            monomials, multiply, parse, power)
 
 from helpers import (binary_round0_forms, oracle_hilbert, random_form,
                      random_linear, reference_catalecticant, reference_conciseness,
@@ -429,7 +429,7 @@ def _window_corpus() -> list[Form]:
     return forms
 
 
-class TestWindowedBuild:
+class TestStepsAndMirrors:
     """Slices built by steps, mirrors and growth scans, in any order,
     against the definition and the divisor enumerator they replaced."""
 
@@ -498,7 +498,7 @@ class TestWindowedBuild:
                 if 2 * k <= d:
                     assert got == list(want[alpha].items())
 
-    def test_window_must_hold_the_degree(self):
+    def test_degree_outside_the_form_is_refused(self):
         """A degree outside 0..d is refused before the cache is read or
         created, even when the cache holds an entry under that key."""
         f = parse("x^3*y + y^4", "xy")
@@ -581,7 +581,7 @@ class TestSliceBuilds:
             assert built[-1] == (len(calls), j)
         assert len(built) == f.degree + 1
 
-    def test_growth_check_builds_its_window(self, builds):
+    def test_growth_check_builds_the_slices_up_to_its_degree(self, builds):
         built, calls = builds
         f = parse(self.TEXT, "xyz")
         assert maximal_hilbert_through(f, 2)
@@ -655,9 +655,107 @@ class TestSliceEliminations:
             for l in range(f.degree + 1 - k):
                 mixed_hessian(f, k, l)
         hilbert(f)
-        slices = list(f._slices.values())
-        assert len(eliminated) == len(slices) == f.degree + 1
-        assert sorted(map(id, eliminated)) == sorted(id(s.rows) for s in slices)
+        assert len(eliminated) == len(f._slices) == f.degree + 1
+        assert sorted(_eliminated_slices(f, eliminated)) == sorted(f._slices)
+
+    def test_pruned_slices_eliminate_only_their_candidates(self, eliminated):
+        """exceptional(4,7) has Hilbert function 1, 6, 21, 21, ...: slice 2
+        has full row rank, so slice 3 passes all of its 34 rows, while
+        slice 3's 13 dependent rows leave 21 of slice 4's 52 rows."""
+        f = build("exceptional(4,7)", seed=1000).form
+        del eliminated[:]
+        assert tuple(hilbert(f)) == (1, 6, 21, 21, 21, 21, 21, 21, 6, 1)
+        passed = _eliminated_slices(f, eliminated)
+        assert [len(f._slices[k].rows) for k in (3, 4)] == [34, 52]
+        assert passed[3] == list(range(34))
+        assert len(passed[4]) == 21
+        for k in (3, 4):
+            s = f._slices[k]
+            assert s.basis_rows == reference_greedy_independent(s.rows)
+            assert set(s.basis_rows) <= set(passed[k])
+
+
+def _eliminated_slices(f: Form, eliminated: list) -> dict[int, list[int]]:
+    """For each call seen, the slice of f whose row dicts it received and
+    their positions there, checked to be one strictly increasing run."""
+    where = {id(row): (k, t) for k, s in f._slices.items() for t, row in enumerate(s.rows)}
+    passed = {}
+    for rows in eliminated:
+        (k,), positions = {where[id(r)][0] for r in rows}, [where[id(r)][1] for r in rows]
+        assert positions == sorted(set(positions)) and k not in passed
+        passed[k] = positions
+    return passed
+
+
+def _sum_of_powers(nvars: int, degree: int, linears: list[list[Fraction]]) -> Form | None:
+    return form_sum(power(LinearForm("abcde"[:nvars], c), degree) for c in linears if any(c))
+
+
+class TestOrderIdealBases:
+    """A slice whose lower neighbour already has its basis eliminates
+    only the rows that are not x_i times a dependent row there; its basis
+    is still the greedy-first basis of all its rows, in any request order."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=120)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, 9 - n),
+        st.lists(st.lists(st.one_of(st.integers(-3, 3), st.fractions(
+            min_value=-2, max_value=2, max_denominator=5)), min_size=n, max_size=n),
+            min_size=2, max_size=6),
+        st.dictionaries(st.integers(0, 50), st.integers(-4, 4).filter(bool),
+                        max_size=3))),
+        st.randoms(use_true_random=False))
+    def test_basis_is_the_reference_in_every_request_order(self, case, rng):
+        n, d, linears, extra = case
+        space = monomials(n, d)
+        terms = {space[i % len(space)]: c for i, c in extra.items()}
+        f = form_sum([_sum_of_powers(n, d, linears), Form("abcde"[:n], d, terms) if terms else None])
+        if f is None:
+            return
+        shuffled = list(range(d + 1))
+        rng.shuffle(shuffled)
+        for order in (range(d + 1), range(d, -1, -1), shuffled):
+            g = _fresh(f)
+            for k in order:
+                s = catalecticant(g, k)
+                assert s.basis_rows == reference_greedy_independent(s.rows), (f, k)
+
+    def test_pruning_reaches_deficient_slices(self, monkeypatch):
+        """Seeded sums of 2-6 powers: ascending reads prune rows from some
+        slices, and every basis equals the reference."""
+        sizes = []
+        real = linalg.greedy_independent
+        monkeypatch.setattr(linalg, "greedy_independent",
+                            lambda rows: sizes.append(len(rows)) or real(rows))
+        rng = random.Random(331)
+        pruned = 0
+        for _ in range(30):
+            n, d = rng.randint(2, 4), rng.randint(4, 7)
+            linears = [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)]
+                       for _ in range(rng.randint(2, 6))]
+            f = _sum_of_powers(n, d, linears)
+            if f is None:
+                continue
+            for k in range(d + 1):
+                s = catalecticant(f, k)
+                del sizes[:]
+                assert s.basis_rows == reference_greedy_independent(s.rows)
+                pruned += sizes[0] < len(s.rows)
+        assert pruned >= 100, pruned
+
+    def test_a_dead_form_eliminates_every_row(self, monkeypatch):
+        f = _sum_of_powers(3, 6, [[1, 0, 0], [0, 1, 0], [1, 1, 1]])
+        hilbert(f)
+        s = catalecticant(f, 4)
+        del f
+        gc.collect()
+        sizes = []
+        real = linalg.greedy_independent
+        monkeypatch.setattr(linalg, "greedy_independent",
+                            lambda rows: sizes.append(len(rows)) or real(rows))
+        assert s.form is None
+        assert s.basis_rows == reference_greedy_independent(s.rows)
+        assert sizes == [len(s.rows)]
 
 
 class TestSliceMemo:

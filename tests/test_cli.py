@@ -385,6 +385,18 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("error:") and "n >= 2" in err
 
+    @pytest.mark.parametrize("element,err", [
+        ("1,,1", "error: --element '1,,1': coefficient '' is not a number\n"),
+        ("1,a,1", "error: --element '1,a,1': coefficient 'a' is not a number\n"),
+        ("1, 2/x ,1", "error: --element '1, 2/x ,1': coefficient '2/x' is not a number\n"),
+        ("1/0,1,1", "error: --element '1/0,1,1': coefficient '1/0' is not a number\n"),
+        ("1,1", "error: --element '1,1' needs 3 coefficients, found 2\n"),
+        ("1,1,1,1", "error: --element '1,1,1,1' needs 3 coefficients, found 4\n"),
+    ])
+    def test_bad_element_names_the_option(self, capsys, element, err):
+        assert run(capsys, "lefschetz", "--poly", "x^3 + y^3 + z^3", "--vars", "x,y,z",
+                   "--slp", "--element", element) == (2, "", err)
+
     def test_empty_element(self, capsys):
         # an empty element is a bad element, not a request to sample one
         code, out, err = run(capsys, "lefschetz", "--family", "ikeda", "--wlp",

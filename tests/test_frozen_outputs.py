@@ -26,7 +26,9 @@ listing, a member built as a product of forms, a chunk-plus-powers sum
 whose parts ``bounds`` adds up again, and polynomial text whose terms
 cancel and come back pin the form arithmetic.  Two forms whose Hilbert
 growth fails at degree 1 and at the top admissible degree pin the
-conciseness scan.
+conciseness scan, and exceptional(5,9) and a rational sum of four
+octic powers pin slices eliminated only on the rows that are not x_i
+times a dependent row of the slice below.
 
 The digests were written by the program of commit ee53730 (the first
 two resultant ``binary-rank`` digests by commit 9c7ebc4, the third by
@@ -60,7 +62,10 @@ monomial-spread(3,4) by commit f4f0433, which eliminated every slice
 component of two or more rows and columns by Bareiss, and ``hilbert``
 and ``analyze`` of x^5 + y^5 over x, y, z and of x^5 + y^5 + z^5 by
 commit ce61225, whose growth checks still asked for a window of
-slices), from the root of its checkout with this file copied in:
+slices, and ``analyze --family exceptional(5,9) --seed 1`` and
+``hilbert`` of the four octic powers by commit 6387d5b, which still
+eliminated every stored row of a slice), from the root of its checkout
+with this file copied in:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py > tests/data/frozen_outputs.json
 
@@ -107,6 +112,24 @@ RATIONAL_BIGRADED = "1/2*x*u^2 + 2/3*y*u*v + 3/5*z*v^2"
 SCALED_SHEARED_PERAZZO = ("2/3*x^3 + 4/3*x^2*u + 2/3*x*y^2 + 2/3*x*y*v + 2/3*x*u^2"
                           " + 2/3*y^2*z + 2/3*y^2*u + 4/3*y*z*v + 2/3*y*u*v"
                           " + 2/3*z*v^2")
+
+# (x + 2y - z)^8 + (2x - y + 3z)^8 + (x - 3y + z)^8 + (x/2 + 2y/3 - z)^8
+FOUR_OCTIC_POWERS = ("66049/256*x^8 - 24767/24*x^7*y + 49151/16*x^7*z + 77623/36*x^6*y^2"
+                     " - 132391/12*x^6*y*z + 258951/16*x^6*z^2 - 77098/27*x^5*y^3"
+                     " + 50897/3*x^5*y^2*z - 97097/2*x^5*y*z^2 + 193529/4*x^5*z^3"
+                     " + 640780/81*x^4*y^4 - 627620/27*x^4*y^3*z + 197855/3*x^4*y^2*z^2"
+                     " - 367115/3*x^4*y*z^3 + 726915/8*x^4*z^4 - 2979928/243*x^3*y^5"
+                     " + 2017960/81*x^3*y^4*z - 1375360/27*x^3*y^3*z^2"
+                     " + 1113560/9*x^3*y^2*z^3 - 545090/3*x^3*y*z^4 + 108857*x^3*z^5"
+                     " + 16268812/729*x^2*y^6 - 3905944/81*x^2*y^5*z"
+                     " + 1508780/27*x^2*y^4*z^2 - 2163280/27*x^2*y^3*z^3"
+                     " + 424760/3*x^2*y^2*z^4 - 164164*x^2*y*z^5 + 81711*x^2*z^6"
+                     " - 36058744/2187*x*y^7 + 27391112/729*x*y^6*z - 3115336/81*x*y^5*z^2"
+                     " + 2696680/81*x*y^4*z^3 - 1367240/27*x*y^3*z^4 + 247352/3*x*y^2*z^5"
+                     " - 245056/3*x*y*z^6 + 34988*x*z^7 + 44733154/6561*y^8"
+                     " - 40556752/2187*y^7*z + 16372216/729*y^6*z^2 - 4111408/243*y^5*z^3"
+                     " + 1010380/81*y^4*z^4 - 420784/27*y^3*z^5 + 187096/9*y^2*z^6"
+                     " - 52624/3*y*z^7 + 6564*z^8")
 
 COMMANDS = [
     ("analyze", "--family", "ikeda"),
@@ -179,6 +202,12 @@ COMMANDS = [
     ("analyze", "--poly", "x^5 + y^5", "--vars", "x,y,z"),
     ("hilbert", "--poly", "x^5 + y^5 + z^5", "--vars", "x,y,z"),
     ("analyze", "--poly", "x^5 + y^5 + z^5", "--vars", "x,y,z"),
+    # slices 4 and 5 are eliminated only on the rows that are not x_i
+    # times a dependent row of the slice below
+    ("analyze", "--family", "exceptional(5,9)", "--seed", "1"),
+    # Hilbert function 1 3 4 4 4 4 4 3 1: slice 2 is deficient, so slices
+    # 3 and 4 eliminate 5 of their 10 and 4 of their 15 rows
+    ("hilbert", "--poly", FOUR_OCTIC_POWERS, "--vars", "x,y,z"),
 ]
 
 

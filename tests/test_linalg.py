@@ -439,7 +439,7 @@ def _dense_rows(rng: random.Random, m: int, n: int) -> list[dict]:
             return rows
 
 
-PINNED_SPREAD_ROUTES = {"full": 22, "matching": 10, "fallback": 0, "dense": 122}
+PINNED_SPREAD_ROUTES = {"full": 27, "matching": 5, "fallback": 0, "dense": 135}
 
 
 class TestModularRoute:
